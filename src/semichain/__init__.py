@@ -11,8 +11,7 @@ from .errors import (ConfigError, DegenerateIncrement, DimensionMismatch,
                      EmptyModeList, InterpolationDegraded, NonHermitianH0,
                      SamplerStuck, SemichainError, TailMassExceeded,
                      ZeroNormConditionalState)
-from .model import (FieldMode, ModelSpec, classical_current_model,
-                    rotated_current, validate)
+from .model import FieldMode, ModelSpec, classical_current_model
 from .observables import Monomial, Observable, atomic_observable, mode_monomial, unit_poly
 from .oracle import (FockCompositeState, antinormal_expectation,
                      bargmann_projection, build_initial, coherent_amplitude,
@@ -29,6 +28,5 @@ __all__ = [
     "classical_current_model", "coherent_amplitude", "coherent_bargmann",
     "conditional_density", "conditional_expectation", "drift_velocity",
     "estimate", "evolve", "initial_chain", "mode_monomial", "q_function",
-    "reformat", "rotated_current", "standard_suite", "step", "unit_poly",
-    "validate",
+    "reformat", "standard_suite", "step", "unit_poly",
 ]

@@ -34,7 +34,6 @@ CHAIN_DEFAULTS = {
 
 ORACLE_DEFAULTS = {
     "cutoff": 16,
-    "dt": 1e-3,
     "tail_threshold": 1e-8,
 }
 

@@ -9,17 +9,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 
-# Pade-13 coefficients for the scaling-and-squaring matrix exponential.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0,
-    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-    960960.0, 16380.0, 182.0, 1.0,
-)
-# Largest 1-norm for which the unscaled Pade-13 approximant stays below
-# double-precision backward error.
-_PADE13_THETA = 5.371920351148152
-
 
 def as_operator(a, dim: int | None = None) -> np.ndarray:
     """Validate and return ``a`` as a square complex matrix.
@@ -47,55 +36,3 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
     if not np.all(np.isfinite(v.view(float))):
         raise NonFiniteInput("vector entries must be finite")
     return v
-
-
-def inner(u, v) -> complex:
-    """Inner product <u|v>, conjugate-linear in the first argument."""
-    u = as_state(u)
-    v = as_state(v, dim=u.shape[0])
-    return complex(np.vdot(u, v))
-
-
-def conjugate_similarity(a, u) -> np.ndarray:
-    """Return U A U^dagger."""
-    a = as_operator(a)
-    u = as_operator(u, dim=a.shape[0])
-    return u @ a @ u.conj().T
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Dense matrix exponential by scaling-and-squaring with Pade-13."""
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm / _PADE13_THETA)))
-        a = a / (2.0 ** squarings)
-
-    b = _PADE13
-    ident = np.eye(n, dtype=complex)
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-    r = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        r = r @ r
-    return r
-
-
-def mat_exp_action(a, s: float, v) -> np.ndarray:
-    """Return exp(s*A) @ v.
-
-    Dimensions here are small enough that forming the dense exponential
-    is the simplest auditable route; accuracy is ~1e-13 relative for
-    ||s*A|| up to ~50.
-    """
-    a = as_operator(a)
-    v = as_state(v, dim=a.shape[0])
-    if not np.isfinite(s):
-        raise NonFiniteInput("scalar s must be finite")
-    return _expm(s * a) @ v

@@ -3,13 +3,14 @@
 A model is a small atomic system (Hermitian Hamiltonian ``h0`` of
 dimension ``d``) linearly coupled to a set of harmonic field modes.
 Each mode carries an angular frequency ``omega`` and a d x d current
-operator ``j`` (hbar = 1 throughout). The only dynamical object the
-rest of the package needs from the model is the rotated current
+operator ``j`` (hbar = 1 throughout). The dynamical objects the rest
+of the package needs from the model are the rotated current
 
     j_n(t) = exp(i omega_n t) * exp(i H0 t) J_n exp(-i H0 t),
 
-which drives both the semiclassical chain and the full quantum
-reference evolution.
+which drives the semiclassical chain, and the atomic rotation
+exp(i H0 t), which carries the full quantum reference between the
+interaction and Schrodinger pictures.
 """
 
 from dataclasses import dataclass, field
@@ -81,17 +82,6 @@ class ModelSpec:
         return np.array([m.omega for m in self.modes])
 
 
-def validate(spec: ModelSpec) -> ModelSpec:
-    """Return ``spec`` if it satisfies the model invariants.
-
-    Validation happens on construction; this exists so call sites can
-    make the contract explicit for specs of unknown provenance.
-    """
-    if not isinstance(spec, ModelSpec):
-        spec = ModelSpec(*spec)
-    return spec
-
-
 def atomic_rotation(spec: ModelSpec, t: float) -> np.ndarray:
     """exp(i H0 t) from the cached eigendecomposition of h0."""
     u = spec._evecs
@@ -99,25 +89,13 @@ def atomic_rotation(spec: ModelSpec, t: float) -> np.ndarray:
     return (u * phases) @ u.conj().T
 
 
-def rotated_current(spec: ModelSpec, n: int, t: float) -> np.ndarray:
-    """The rotated interaction-picture current j_n(t).
-
-    Equals J_n at t = 0 and is continuous in t; its singular values are
-    time-independent because the conjugation is unitary and the mode
-    phase has unit modulus.
-    """
-    if not 0 <= n < spec.n_modes:
-        raise IndexError(f"mode index {n} out of range [0, {spec.n_modes})")
-    mode = spec.modes[n]
-    u = spec._evecs
-    phases = np.exp(1j * spec._evals * t)
-    # exp(iH0 t) J exp(-iH0 t) in the eigenbasis of H0, then rotate back.
-    core = (phases[:, None] * (u.conj().T @ mode.j @ u)) * phases.conj()[None, :]
-    return np.exp(1j * mode.omega * t) * (u @ core @ u.conj().T)
-
-
 def rotated_currents(spec: ModelSpec, t: float) -> list[np.ndarray]:
-    """All rotated currents at time t (one pass over the eigenbasis)."""
+    """All rotated currents j_n(t) in mode order (one pass over the eigenbasis).
+
+    Each equals J_n at t = 0; its singular values are time-independent
+    because the conjugation is unitary and the mode phase has unit
+    modulus.
+    """
     u = spec._evecs
     phases = np.exp(1j * spec._evals * t)
     out = []

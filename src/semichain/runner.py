@@ -152,7 +152,6 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
         if oracle_state is not None:
             oracle_state = evolve(oracle_state, config.spec,
                                   config.record_every,
-                                  base_step=config.oracle["dt"],
                                   tail_threshold=config.oracle["tail_threshold"])
         t = (block + 1) * config.record_every
         rows.extend(_emit_rows(t, config, chain_state, oracle_state))

@@ -125,3 +125,13 @@ def test_observable_poly_from_config():
     ob = cfg.observables[1]
     assert ob.f is None
     assert ob.poly[0].p == (1,) and ob.poly[0].q == (1,)
+
+
+def test_oracle_dt_rejected_with_other_errors():
+    raw = minimal_config(oracle={"dt": 1e-3})
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("oracle.dt") and "unknown option" in p for p in probs)
+    assert any("seed" in p for p in probs)

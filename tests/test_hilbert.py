@@ -1,115 +1,72 @@
+"""Dense linear algebra the package relies on: operator and state
+validation, and the matrix exponential exp(i H0 t) that
+``model.atomic_rotation`` takes from the eigendecomposition of h0."""
+
 import numpy as np
 import pytest
 
+import semichain as sc
 from semichain.errors import DimensionMismatch, NonFiniteInput
-from semichain.hilbert import conjugate_similarity, inner, mat_exp_action
+from semichain.hilbert import as_operator, as_state
+from semichain.model import atomic_rotation
+
+
+def _spec(h0):
+    d = h0.shape[0]
+    return sc.ModelSpec(h0=h0, modes=[sc.FieldMode(1.0, np.zeros((d, d)))])
+
+
+def _random_hermitian(rng, d):
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return h + h.conj().T
 
 
 def test_exp_of_zero_is_identity():
-    out = mat_exp_action(np.zeros((2, 2)), 1.0, [1.0, 0.0])
-    assert np.allclose(out, [1.0, 0.0], atol=1e-15)
+    spec = _spec(_random_hermitian(np.random.default_rng(2), 3))
+    assert np.allclose(atomic_rotation(spec, 0.0), np.eye(3), atol=1e-14)
 
 
 def test_exp_diagonal_phases():
-    a = np.diag([1j, -1j])
-    out = mat_exp_action(a, np.pi, [1.0, 1.0])
+    spec = _spec(np.diag([1.0, -1.0]))
+    out = atomic_rotation(spec, np.pi) @ np.array([1.0, 1.0])
     assert np.allclose(out, [-1.0, -1.0], atol=1e-12)
 
 
 def test_exp_matches_eigendecomposition():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = h + h.conj().T
+        h = _random_hermitian(rng, 4)
         v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         s = 0.3
         evals, evecs = np.linalg.eigh(h)
         expected = evecs @ (np.exp(-1j * s * evals) * (evecs.conj().T @ v))
-        got = mat_exp_action(-1j * h, s, v)
+        got = atomic_rotation(_spec(h), -s) @ v
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_exp_unitarity_for_hermitian_generator():
     rng = np.random.default_rng(3)
-    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    h = h + h.conj().T
+    h = _random_hermitian(rng, 5)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    out = mat_exp_action(-1j * h, 2.5, v)
+    out = atomic_rotation(_spec(h), 2.5) @ v
     assert abs(np.linalg.norm(out) - np.linalg.norm(v)) < 1e-9
-
-
-def test_exp_semigroup():
-    rng = np.random.default_rng(11)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    left = mat_exp_action(a, 0.7, v)
-    right = mat_exp_action(a, 0.3, mat_exp_action(a, 0.4, v))
-    assert np.linalg.norm(left - right) < 1e-9 * np.linalg.norm(left)
-
-
-def test_exp_large_norm_scaling():
-    # ||sA|| ~ 40 exercises several squarings
-    a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * 40.0
-    out = mat_exp_action(a, 1.0, [1.0, 0.0])
-    expected = [np.cos(40.0), -np.sin(40.0)]
-    assert np.allclose(out, expected, atol=1e-9)
 
 
 def test_exp_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        mat_exp_action(np.zeros((2, 2)), 1.0, [1.0, 0.0, 0.0])
+        as_state([1.0, 0.0, 0.0], dim=2)
     with pytest.raises(DimensionMismatch):
-        mat_exp_action(np.zeros((2, 3)), 1.0, [1.0, 0.0])
+        as_state(np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        as_operator(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatch):
+        as_operator(np.zeros((3, 3)), dim=2)
 
 
 def test_exp_rejects_non_finite():
     with pytest.raises(NonFiniteInput):
-        mat_exp_action(np.array([[np.nan, 0], [0, 0]]), 1.0, [1.0, 0.0])
+        as_operator(np.array([[np.nan, 0], [0, 0]]))
     with pytest.raises(NonFiniteInput):
-        mat_exp_action(np.zeros((2, 2)), np.inf, [1.0, 0.0])
-
-
-def test_conjugate_similarity_identity():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(conjugate_similarity(a, np.eye(3)), a)
-
-
-def test_conjugate_similarity_preserves_hermiticity():
-    rng = np.random.default_rng(6)
-    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = h + h.conj().T
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    u = np.linalg.qr(g)[0]
-    out = conjugate_similarity(h, u)
-    assert np.allclose(out, out.conj().T, atol=1e-12)
-
-
-def test_conjugate_similarity_closed_form(subtests=None):
-    # U = exp(i sigma_z t) rotates sigma_minus by a phase e^{2it}
-    sm = np.array([[0, 0], [1, 0]], dtype=complex)
-    t = 0.37
-    u = np.diag([np.exp(1j * t), np.exp(-1j * t)])
-    out = conjugate_similarity(sm, u)
-    assert np.allclose(out, np.exp(-2j * t) * sm, atol=1e-14)
-
-
-def test_inner_basics():
-    assert inner([1.0, 0.0], [1.0, 0.0]) == 1.0
-    assert inner([1.0, 1j], [1.0, 1j]) == pytest.approx(2.0)
-    assert inner([1.0, 0.0], [0.0, 1.0]) == 0.0
-
-
-def test_inner_conjugate_symmetry():
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        u = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        assert inner(u, v) == pytest.approx(np.conj(inner(v, u)))
-
-
-def test_inner_conjugate_linear_first_argument():
-    u = np.array([1.0, 2j])
-    v = np.array([0.5, -1j])
-    c = 0.3 - 0.8j
-    assert inner(c * u, v) == pytest.approx(np.conj(c) * inner(u, v))
+        as_operator(np.array([[0, 1j * np.inf], [0, 0]]))
+    with pytest.raises(NonFiniteInput):
+        as_state([1.0, np.inf])

@@ -8,7 +8,6 @@ from semichain.model import atomic_rotation, classical_current_model, rotated_cu
 
 def test_validate_accepts_jc(pauli):
     spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[sc.FieldMode(1.0, pauli["minus"])])
-    assert sc.validate(spec) is spec
     assert spec.d == 2 and spec.n_modes == 1
 
 
@@ -30,14 +29,14 @@ def test_validate_rejects_empty_modes(pauli):
 
 
 def test_rotated_current_at_zero(jc_spec, pauli):
-    assert np.allclose(sc.rotated_current(jc_spec, 0, 0.0),
+    assert np.allclose(rotated_currents(jc_spec, 0.0)[0],
                        0.2 * pauli["minus"], atol=1e-14)
 
 
 def test_rotated_current_scalar_phase(pauli):
     spec = sc.ModelSpec(h0=np.zeros((2, 2)),
                         modes=[sc.FieldMode(1.0, pauli["minus"])])
-    out = sc.rotated_current(spec, 0, np.pi)
+    out = rotated_currents(spec, np.pi)[0]
     assert np.allclose(out, -pauli["minus"], atol=1e-12)
 
 
@@ -46,12 +45,14 @@ def test_rotated_current_closed_form(pauli):
     spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[sc.FieldMode(1.0, pauli["minus"])])
     for t in (0.3, 1.7, 4.9):
         expected = np.exp(1j * t) * np.exp(-1j * t) * pauli["minus"]
-        assert np.allclose(sc.rotated_current(spec, 0, t), expected, atol=1e-12)
+        assert np.allclose(rotated_currents(spec, t)[0], expected, atol=1e-12)
 
 
-def test_rotated_current_index_range(jc_spec):
-    with pytest.raises(IndexError):
-        sc.rotated_current(jc_spec, 1, 0.0)
+def test_rotated_current_index_range():
+    spec = classical_current_model([0.5, 0.3j], [1.0, 2.0])
+    js = rotated_currents(spec, 0.4)
+    assert len(js) == spec.n_modes
+    assert np.allclose(js[1], 0.3j * np.exp(0.8j) * np.eye(1), atol=1e-14)
 
 
 def test_rotated_current_singular_values_invariant():
@@ -62,7 +63,7 @@ def test_rotated_current_singular_values_invariant():
     spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(0.7, j)])
     ref = np.linalg.svd(j, compute_uv=False)
     for t in rng.uniform(0, 10, size=5):
-        sv = np.linalg.svd(sc.rotated_current(spec, 0, t), compute_uv=False)
+        sv = np.linalg.svd(rotated_currents(spec, t)[0], compute_uv=False)
         assert np.allclose(sv, ref, atol=1e-9)
 
 
@@ -70,15 +71,22 @@ def test_rotated_current_periodicity(pauli):
     # commensurate case: omega = 1, atomic splitting 1 -> period 2*pi
     spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[sc.FieldMode(1.0, pauli["minus"])])
     t = 0.9
-    assert np.allclose(sc.rotated_current(spec, 0, t),
-                       sc.rotated_current(spec, 0, t + 2 * np.pi), atol=1e-12)
+    assert np.allclose(rotated_currents(spec, t)[0],
+                       rotated_currents(spec, t + 2 * np.pi)[0], atol=1e-12)
 
 
-def test_rotated_currents_match_single(jc_spec):
+def test_rotated_currents_match_single():
+    # each current is the mode phase times the atomic rotation conjugation
+    rng = np.random.default_rng(22)
+    h0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h0 = h0 + h0.conj().T
+    js = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(0.7, js[0]), sc.FieldMode(1.3, js[1])])
     t = 2.3
-    all_js = rotated_currents(jc_spec, t)
-    assert len(all_js) == 1
-    assert np.allclose(all_js[0], sc.rotated_current(jc_spec, 0, t))
+    u = atomic_rotation(spec, t)
+    for mode, got in zip(spec.modes, rotated_currents(spec, t)):
+        expected = np.exp(1j * mode.omega * t) * (u @ mode.j @ u.conj().T)
+        assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_atomic_rotation_is_unitary(jc_spec):
@@ -90,7 +98,7 @@ def test_classical_current_model_single():
     spec = classical_current_model(0.5, 1.0)
     assert spec.d == 1 and spec.n_modes == 1
     assert spec.modes[0].j[0, 0] == 0.5
-    assert np.allclose(sc.rotated_current(spec, 0, 0.4),
+    assert np.allclose(rotated_currents(spec, 0.4)[0],
                        0.5 * np.exp(0.4j) * np.eye(1))
 
 
@@ -102,4 +110,4 @@ def test_classical_current_model_two_modes():
 
 def test_classical_current_model_zero_current():
     spec = classical_current_model([0.0], [2.0])
-    assert np.allclose(sc.rotated_current(spec, 0, 1.0), np.zeros((1, 1)))
+    assert np.allclose(rotated_currents(spec, 1.0)[0], np.zeros((1, 1)))

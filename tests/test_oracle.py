@@ -4,7 +4,7 @@ import pytest
 import semichain as sc
 from semichain.errors import TailMassExceeded
 from semichain.observables import Observable, mode_monomial
-from semichain.oracle import coherent_fock_vector, tail_mass
+from semichain.oracle import _rhs, coherent_fock_vector, tail_mass
 
 from conftest import disk_grid, quad_phase_plane, random_fock_state
 
@@ -64,7 +64,52 @@ def test_evolve_jaynes_cummings_rabi(jc_spec, pauli):
 def test_evolve_norm_conservation(jc_spec):
     st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [16])
     out = sc.evolve(st, jc_spec, 3.0)
-    assert abs(out.norm() - 1.0) < 1e-9
+    assert abs(out.norm() - 1.0) < 1e-12
+
+
+def _non_rwa_state(t0):
+    """d = 3, M = 2 model with a non-diagonal complex h0 and currents that
+    both raise and lower the atom, in a product state placed at time t0."""
+    rng = np.random.default_rng(41)
+    h0 = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    h0 = 0.5 * (h0 + h0.conj().T)
+    js = [0.2 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+          for _ in range(2)]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(1.0, js[0]), sc.FieldMode(0.7, js[1])])
+    atomic = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    st = sc.build_initial(spec, atomic / np.linalg.norm(atomic), [0.5, 0.3j], [12, 12])
+    return spec, sc.FockCompositeState(amplitudes=st.amplitudes, time=t0)
+
+
+def _rk4_interaction_picture(spec, amps, t0, dt, n_steps):
+    """Fixed-step RK4 of the interaction-picture equation dPsi/dt = _rhs."""
+    h, y = dt / n_steps, amps
+    for i in range(n_steps):
+        t = t0 + i * h
+        k1 = _rhs(spec, t, y)
+        k2 = _rhs(spec, t + h / 2, y + h / 2 * k1)
+        k3 = _rhs(spec, t + h / 2, y + h / 2 * k2)
+        k4 = _rhs(spec, t + h, y + h * k3)
+        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
+def test_evolve_matches_interaction_picture_rk4():
+    # the reference integrates j_n(t) directly, so it checks the frame
+    # rotations on both sides of the Schrodinger-picture propagator
+    spec, st = _non_rwa_state(t0=0.4)
+    out = sc.evolve(st, spec, 0.8)
+    ref = _rk4_interaction_picture(spec, st.amplitudes, 0.4, 0.8, 200)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-10
+    assert out.time == pytest.approx(1.2)
+
+
+def test_evolve_halves_compose():
+    spec, st = _non_rwa_state(t0=0.4)
+    whole = sc.evolve(st, spec, 0.8)
+    halves = sc.evolve(sc.evolve(st, spec, 0.4), spec, 0.4)
+    assert np.max(np.abs(whole.amplitudes - halves.amplitudes)) < 1e-12
+    assert halves.time == pytest.approx(whole.time)
 
 
 def test_coherent_amplitude_self_overlap(jc_spec):
