@@ -65,8 +65,8 @@ class ChainState:
     lineage: tuple = ()
 
     def __post_init__(self):
-        alphas = np.array(self.alphas, dtype=complex, copy=True)
-        phis = np.array(self.phis, dtype=complex, copy=True)
+        alphas = np.array(self.alphas, dtype=complex, order="C", copy=True)
+        phis = np.array(self.phis, dtype=complex, order="C", copy=True)
         if alphas.ndim != 2 or phis.ndim != 2:
             raise DimensionMismatch("alphas and phis must be 2-D arrays")
         n = alphas.shape[0]
@@ -74,10 +74,11 @@ class ChainState:
             raise DimensionMismatch("a chain needs at least 2 points")
         if phis.shape[0] != n:
             raise DimensionMismatch("alphas and phis must have one row per point")
+        flat = phis.view(float)
         if not (np.all(np.isfinite(alphas.view(float)))
-                and np.all(np.isfinite(phis.view(float)))):
+                and np.all(np.isfinite(flat))):
             raise DimensionMismatch("chain entries must be finite")
-        if np.any(np.einsum("ki,ki->k", phis.conj(), phis).real == 0.0):
+        if np.any(np.einsum("ki,ki->k", flat, flat) == 0.0):
             raise ZeroNormConditionalState("chain contains a zero conditional state")
         starts = self.segment_starts
         starts = np.array([0] if starts is None else starts, dtype=int)
@@ -172,9 +173,12 @@ def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
     keep evolving identically (they are one weighted point).
     """
     n = alphas.shape[0]
-    tol = _phi_tol(phis)
-    same = (np.max(np.abs(alphas[1:] - alphas[:-1]), axis=1) < delta_min) \
-        & (np.linalg.norm(phis[1:] - phis[:-1], axis=1) <= tol[:-1])
+    # the state test only runs where the points coincide
+    k = np.nonzero(np.max(np.abs(alphas[1:] - alphas[:-1]), axis=1)
+                   < delta_min)[0]
+    same = np.zeros(n - 1, dtype=bool)
+    same[k] = (np.linalg.norm(phis[k + 1] - phis[k], axis=1)
+               <= _phi_tol(phis[k]))
     new_group = np.ones(n, dtype=bool)
     new_group[1:] = ~same
     new_group[segment_starts] = True
@@ -206,47 +210,27 @@ def _duplicate_groups(alphas, phis, segment_starts, delta_min):
     return prev_distinct, next_distinct
 
 
-def _difference_pairs(alphas, phis, segment_starts, delta_min, scheme):
+def _difference_pairs(alphas, phis, segment_starts, delta_min):
     """Index pairs (ka, kb) whose secant estimates dphi/dalpha* at each
     point, skipping duplicate runs.
 
-    ``onesided`` pairs a point with the next distinct in-segment point,
-    falling back to the previous one at segment ends (the backward rule
-    for the last chain point). ``centered`` straddles interior points
-    with the distinct neighbors on both sides, which removes the
-    self-coupling of the one-sided quotient (the term that makes the
-    update cycle exponentially amplify point-to-point noise); segment
-    edges stay one-sided. Points whose whole segment duplicates them are
+    A point is paired with the next distinct in-segment point, falling
+    back to the previous one at segment ends (the backward rule for the
+    last chain point). Points whose whole segment duplicates them are
     flagged fully degenerate.
     """
-    if scheme not in ("onesided", "centered"):
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
     n = alphas.shape[0]
     prev_d, next_d = _duplicate_groups(alphas, phis, segment_starts, delta_min)
     ks = np.arange(n)
     last_of_seg = np.zeros(n, dtype=bool)
     last_of_seg[np.append(segment_starts[1:], n) - 1] = True
-    if scheme == "onesided":
-        # primary direction: forward, backward for the segment-last point
-        fwd = np.where(next_d >= 0, next_d, prev_d)
-        bwd = np.where(prev_d >= 0, prev_d, next_d)
-        partner = np.where(last_of_seg, bwd, fwd)
-        fully_degenerate = partner < 0
-        partner = np.where(fully_degenerate, ks, partner)
-        ka = np.minimum(ks, partner)
-        kb = np.maximum(ks, partner)
-    else:
-        both = (prev_d >= 0) & (next_d >= 0)
-        ka = np.where(both, prev_d, ks)
-        kb = np.where(both, next_d, ks)
-        one = ~both & (next_d >= 0)
-        ka = np.where(one, ks, ka)
-        kb = np.where(one, next_d, kb)
-        one = ~both & (next_d < 0) & (prev_d >= 0)
-        ka = np.where(one, prev_d, ka)
-        kb = np.where(one, ks, kb)
-        fully_degenerate = (prev_d < 0) & (next_d < 0)
-    return ka, kb, fully_degenerate
+    # primary direction: forward, backward for the segment-last point
+    fwd = np.where(next_d >= 0, next_d, prev_d)
+    bwd = np.where(prev_d >= 0, prev_d, next_d)
+    partner = np.where(last_of_seg, bwd, fwd)
+    fully_degenerate = partner < 0
+    partner = np.where(fully_degenerate, ks, partner)
+    return np.minimum(ks, partner), np.maximum(ks, partner), fully_degenerate
 
 
 def chain_derivative(chain: ChainState, k: int, n: int,
@@ -266,7 +250,7 @@ def chain_derivative(chain: ChainState, k: int, n: int,
         raise IndexError(f"mode index {n} out of range")
     alphas, phis = chain.alphas, chain.phis
     ka, kb, degenerate = _difference_pairs(
-        alphas, phis, chain.segment_starts, delta_min, "onesided")
+        alphas, phis, chain.segment_starts, delta_min)
     if degenerate[k]:
         return np.zeros(chain.d, dtype=complex)
     dphi = phis[kb[k]] - phis[ka[k]]
@@ -280,10 +264,10 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     return dphi / dstar
 
 
-def _pair_derivatives(alphas, phis, segment_starts, delta_min, scheme):
+def _pair_derivatives(alphas, phis, segment_starts, delta_min):
     """Two-point difference-quotient derivatives, shape (N, M, d)."""
     ka, kb, fully_degenerate = _difference_pairs(
-        alphas, phis, segment_starts, delta_min, scheme)
+        alphas, phis, segment_starts, delta_min)
     d_phi = phis[kb] - phis[ka]
     dstar = np.conj(alphas[kb] - alphas[ka])  # (N, M)
     tol = _phi_tol(phis)
@@ -321,6 +305,10 @@ def _lsq_derivatives(alphas, phis, segment_starts, delta_min, window=2,
     Metropolis repeats evolving identically and guarantees the window
     spans distinct points whenever the segment has any. Multimode
     chains use the affine model regardless of ``degree``.
+
+    Single-mode chains are fitted directly on each window's increments
+    (see ``_lsq_single_mode``) and return a transposed view of a
+    component-major (M, d, N) array.
     """
     n, m = alphas.shape
     groups = _group_structure(alphas, phis, segment_starts, delta_min)
@@ -331,8 +319,9 @@ def _lsq_derivatives(alphas, phis, segment_starts, delta_min, window=2,
     hi = np.minimum(groups.group_hi, gs + window)
 
     if m == 1:
-        return _lsq_single_mode(alphas, phis, groups, lo, hi, delta_min,
-                                degree)[groups.gid][:, None, :]
+        slope = _lsq_single_mode(alphas, phis, groups, lo, hi, window,
+                                 delta_min, degree)
+        return np.take(slope, groups.gid, axis=1)[None].transpose(2, 0, 1)
 
     gidx = np.clip(gs[:, None] + np.arange(-window, window + 1)[None, :],
                    0, n_groups - 1)
@@ -342,7 +331,7 @@ def _lsq_derivatives(alphas, phis, segment_starts, delta_min, window=2,
     dstar = (alphas[pidx] - alphas[reps][:, None, :]).conj()  # (G, W, M)
     spread2 = np.einsum("nwm,nw->n", np.abs(dstar) ** 2, w)
     degenerate = spread2 < (delta_min ** 2)
-    _check_collapsed(degenerate, lo, hi, reps, phis)
+    _check_collapsed(np.nonzero(degenerate)[0], lo, hi, reps, phis)
     design = np.concatenate(
         [np.ones(pidx.shape + (1,), dtype=complex), dstar],
         axis=2) * w[:, :, None]
@@ -361,89 +350,144 @@ def _lsq_derivatives(alphas, phis, segment_starts, delta_min, window=2,
     return out
 
 
-def _lsq_single_mode(alphas, phis, groups, lo, hi, delta_min, degree):
-    """Per-group polynomial-fit slope for one mode, via prefix sums.
+# Groups per tile of the single-mode kernel: small enough that every
+# temporary stays in cache and is recycled by the allocator instead of
+# being mapped afresh on each call.
+_TILE = 1024
+# Windows whose 2x2 slope-curvature system cancels by more than this
+# factor (det < p t / _REFIT_CONDITION) lose up to that many ulps in the
+# closed form; they are refitted from their points.
+_REFIT_CONDITION = 1e3
+
+
+def _lsq_single_mode(alphas, phis, groups, lo, hi, window, delta_min, degree):
+    """Per-group polynomial-fit slope for one mode, shape (d, G).
 
     The model lives in the variable z = alpha*; design columns are
-    (1, D, D^2/2) with D = z_partner - z_center. All windowed moments
-    expand binomially into prefix sums over group representatives, so
-    the cost is O(G) regardless of window size.
+    (1, D, D^2) with D = z_partner - z_center, fitted to the state
+    increments dphi = phi_partner - phi_center. Every moment is summed
+    directly over the window's increments, never as a difference of
+    whole-chain sums, so no cancellation grows with N or |alpha|
+    (Chan, Golub & LeVeque, Am. Stat. 37, 1983). The groups are fitted
+    in tiles, each extended by ``window`` groups on both sides so that
+    its windows are complete. The few windows with a nearly coincident
+    pair of points, where the moments cannot resolve the curvature to
+    full precision, are refitted by ``_refit_slopes``.
     """
-    reps = groups.first
-    n_groups = reps.shape[0]
-    d = phis.shape[1]
-    x = alphas[reps, 0].conj()  # z = alpha*
-    y = x.conj()
-    ph = phis[reps]
-    counts = (hi - lo + 1).astype(float)
-    absx2 = (y * x).real
-    x2 = x * x
+    n_groups = groups.first.shape[0]
+    # no pair further apart than the longest segment shares a segment
+    window = min(window, int(np.max(groups.group_hi - groups.group_lo)))
+    slope = np.empty((phis.shape[1], n_groups), dtype=complex)
+    refit = []
+    for a in range(0, n_groups, _TILE):
+        b = min(a + _TILE, n_groups)
+        ext = slice(max(a - window, 0), min(b + window, n_groups))
+        core = slice(a - ext.start, b - ext.start)
+        reps = groups.first[ext]
+        sm, pm = _window_moments(alphas[reps, 0].conj(),
+                                 np.take(phis.T, reps, axis=1),
+                                 groups.seg_of_group[ext], window)
+        slope[:, a:b], degenerate, ill = _window_slope(
+            sm[:, core], pm[:, :, core], hi[a:b] - lo[a:b] + 1, delta_min,
+            degree)
+        _check_collapsed(a + np.nonzero(degenerate)[0], lo, hi, groups.first,
+                         phis)
+        refit.append(a + np.nonzero(ill)[0])
+    gs = np.concatenate(refit)
+    if gs.size:
+        slope[:, gs] = _refit_slopes(alphas, phis, groups.first, gs, lo, hi,
+                                     window)
+    return slope
 
-    # one cumsum pass over all scalar moments, one over all phi moments
-    scal = np.empty((n_groups, 4), dtype=complex)
-    scal[:, 0] = x
-    scal[:, 1] = x2
-    scal[:, 2] = x2 * y
-    scal[:, 3] = absx2 + 1j * absx2 * absx2
-    phm = np.empty((n_groups, 3, d), dtype=complex)
-    phm[:, 0] = ph
-    phm[:, 1] = y[:, None] * ph
-    phm[:, 2] = (y * y)[:, None] * ph
 
-    def wsum(arr):
-        p = np.zeros((n_groups + 1,) + arr.shape[1:], dtype=arr.dtype)
-        np.cumsum(arr, axis=0, out=p[1:])
-        return p[hi + 1] - p[lo]
+def _refit_slopes(alphas, phis, reps, gs, lo, hi, window):
+    """Quadratic-fit slopes, shape (d, len(gs)), of the windows around
+    groups ``gs``, from an SVD of each window's design matrix; its error
+    grows with the design's condition number, not with its square."""
+    slots = gs[:, None] + np.arange(-window, window + 1)
+    inside = (slots >= lo[gs, None]) & (slots <= hi[gs, None])
+    pts = reps[np.where(inside, slots, gs[:, None])]
+    centers = reps[gs, None]
+    dz = (alphas[pts, 0] - alphas[centers, 0]).conj()
+    design = np.stack([np.ones_like(dz), dz, dz * dz], axis=2)
+    design *= inside[:, :, None]
+    dphi = phis[pts] - phis[centers]
+    return (np.linalg.pinv(design) @ dphi)[:, 1, :].T
 
-    ss = wsum(scal)
-    sp = wsum(phm)
-    s1, s2, sx2y = ss[:, 0], ss[:, 1], ss[:, 2]
-    sxx, s4 = ss[:, 3].real, ss[:, 3].imag
-    s_ph, s_yph, s_y2ph = sp[:, 0], sp[:, 1], sp[:, 2]
 
-    c, cbar, cc = x, y, absx2
-    m10 = s1 - counts * c
-    m11 = sxx - 2.0 * (cbar * s1).real + counts * cc
-    r0 = s_ph
-    r1 = s_yph - cbar[:, None] * s_ph
-    degenerate = m11 < (delta_min ** 2)
-    _check_collapsed(degenerate, lo, hi, reps, phis)
-    m11 = np.where(degenerate, 1.0, m11)
+def _window_moments(z, ph, seg, window):
+    """Window sums of the increment moments around each group.
+
+    Returns the scalar moments (sum D^2, sum |D|^2, sum |D|^4, sum D,
+    sum conj(D) D^2) and the state moments (sum conj(D) dphi, sum dphi,
+    sum conj(D)^2 dphi). Each shift s computes the increments of the
+    group pairs (g, g + s) once and adds them to both groups: the
+    reverse pair has D -> -D and dphi -> -dphi, under which the first
+    three scalar moments and the first state moment keep their value
+    and the others flip sign. A pair that straddles a segment boundary
+    gets D = 0, which zeroes every moment but sum dphi; that one is
+    masked.
+    """
+    n = z.shape[0]
+    sm = np.zeros((5, n), dtype=complex)
+    pm = np.zeros((3,) + ph.shape, dtype=complex)
+    for s in range(1, min(window, n - 1) + 1):
+        keep = seg[s:] == seg[:-s]
+        sc = np.empty((5, n - s), dtype=complex)
+        pc = np.empty((3, ph.shape[0], n - s), dtype=complex)
+        dz, dphi = sc[3], pc[1]
+        np.subtract(z[s:], z[:-s], out=dz)
+        dz *= keep
+        dzc = dz.conj()
+        np.multiply(dz, dz, out=sc[0])
+        np.multiply(dzc, dz, out=sc[1])
+        np.multiply(sc[1], sc[1], out=sc[2])
+        np.multiply(dzc, sc[0], out=sc[4])
+        np.subtract(ph[:, s:], ph[:, :-s], out=dphi)
+        np.multiply(dzc, dphi, out=pc[0])
+        np.multiply(dzc, pc[0], out=pc[2])
+        dphi *= keep
+        sm[:, :-s] += sc
+        pm[:, :, :-s] += pc
+        sm[:3, s:] += sc[:3]
+        sm[3:, s:] -= sc[3:]
+        pm[0, :, s:] += pc[0]
+        pm[1:, :, s:] -= pc[1:]
+    return sm, pm
+
+
+def _window_slope(sm, pm, counts, delta_min, degree):
+    """Closed-form slope from window moments, shape (d, groups), with
+    the masks of windows without a usable increment (their slope is 0)
+    and of quadratic windows too ill-conditioned for the closed form.
+
+    Eliminating the intercept leaves a Hermitian 2x2 system in slope
+    and curvature (its Schur complement); windows of fewer than 3
+    groups, and ``degree`` 1, solve the affine 1x1 one.
+    """
+    s2, s11, s22, s1, s12 = sm
+    r1, r0, r2 = pm
+    s11, s22 = s11.real, s22.real
+    degenerate = s11 < (delta_min ** 2)
+    # p b + q c = u, conj(q) b + t c = w
+    mean1 = s1.conj() / counts
+    p = np.where(degenerate, 1.0, s11 - (mean1 * s1).real)
+    u = r1 - mean1 * r0
     quad = (degree >= 2) & (counts >= 3) & ~degenerate
-
-    m20 = s2 - 2.0 * c * s1 + counts * x2
-    m21 = sx2y - cbar * s2 - 2.0 * c * sxx \
-        + 2.0 * cc * s1 + x2 * s1.conj() - counts * c * cc
-    m22 = s4 - 4.0 * (cbar * sx2y).real + 2.0 * ((cbar * cbar) * s2).real \
-        + 4.0 * cc * sxx - 4.0 * cc * (cbar * s1).real + counts * cc * cc
-    r2 = s_y2ph - 2.0 * cbar[:, None] * s_yph + (cbar * cbar)[:, None] * s_ph
-    # normal equations for design (1, D, D^2/2); windows too small for
-    # the quadratic term keep the affine system via a unit third row
-    a02 = np.where(quad, 0.5 * m20, 0.0)
-    a12 = np.where(quad, 0.5 * m21, 0.0)
-    a22 = np.where(quad, 0.25 * m22, 1.0)
-    rr2 = np.where(quad[:, None], 0.5 * r2, 0.0)
-    # slope row of the 3x3 Hermitian solve, by cofactors
-    a20, a21 = a02.conj(), a12.conj()
-    a00, a01, a10, a11 = counts.astype(complex), m10, m10.conj(), m11
-    det = (a00 * (a11 * a22 - a12 * a21)
-           - a01 * (a10 * a22 - a12 * a20)
-           + a02 * (a10 * a21 - a11 * a20))
-    adj10 = -(a10 * a22 - a12 * a20)
-    adj11 = a00 * a22 - a02 * a20
-    adj12 = -(a00 * a12 - a02 * a10)
-    det = np.where(degenerate, 1.0, det)
-    b = (adj10[:, None] * r0 + adj11[:, None] * r1
-         + adj12[:, None] * rr2) / det[:, None]
-    b[degenerate] = 0.0
-    return b
+    mean2 = s2.conj() / counts
+    q = s12 - mean1 * s2
+    t = s22 - (mean2 * s2).real
+    w = r2 - mean2 * r0
+    det = np.where(quad, p * t - (q * q.conj()).real, 1.0)
+    b = np.where(quad, (t * u - q * w) / det, u / p)
+    b[:, degenerate] = 0.0
+    return b, degenerate, quad & (_REFIT_CONDITION * det < p * t)
 
 
 def _check_collapsed(degenerate, lo, hi, reps, phis):
-    """Raise if a window has no usable increment but its states differ."""
-    if not np.any(degenerate):
-        return
-    for g in np.nonzero(degenerate)[0]:
+    """Raise if a window without a usable increment (``degenerate``
+    lists their group ids) has differing states."""
+    for g in degenerate:
         center = phis[reps[g]]
         tol2 = float(_phi_tol(center[None, :])[0]) ** 2
         members = phis[reps[lo[g]: hi[g] + 1]]
@@ -459,37 +503,42 @@ def _derivatives(alphas, phis, segment_starts, delta_min, scheme="onesided",
     """Vectorized chain derivatives, shape (N, M, d).
 
     ``onesided`` matches chain_derivative for every (k, n); ``lsq`` is
-    the windowed quadratic least-squares variant used by default in the
-    update cycle (``lsq1`` for its affine version); ``centered``
-    straddles interior points (kept for comparison, inferior in
-    practice).
+    the windowed quadratic least-squares fit used by default in the
+    update cycle, ``lsq1`` its affine version.
     """
     if scheme in ("lsq", "lsq1"):
         return _lsq_derivatives(alphas, phis, segment_starts, delta_min,
                                 window=window,
                                 degree=1 if scheme == "lsq1" else 2)
-    return _pair_derivatives(alphas, phis, segment_starts, delta_min, scheme)
+    if scheme != "onesided":
+        raise ValueError(f"unknown derivative scheme {scheme!r}")
+    return _pair_derivatives(alphas, phis, segment_starts, delta_min)
 
 
 def _rates(alphas, phis, segment_starts, spec, t, delta_min, phi_update,
            deriv_scheme="onesided", deriv_window=2):
-    """Time derivatives of (alphas, phis) from a frozen snapshot."""
-    norms2 = _norms2(phis)
+    """Time derivatives of (alphas, phis) from a frozen snapshot.
+
+    Component-major: ``alphas`` is (M, N), ``phis`` is (d, N), and the
+    rates come back in the same layouts.
+    """
+    norms2 = np.sum(phis.real ** 2 + phis.imag ** 2, axis=0)
     if np.any(norms2 == 0.0):
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
     js = rotated_currents(spec, t)
-    deriv = _derivatives(alphas, phis, segment_starts, delta_min, deriv_scheme,
-                         deriv_window)
+    deriv = _derivatives(alphas.T, phis.T, segment_starts, delta_min,
+                         deriv_scheme, deriv_window)
+    deriv = np.ascontiguousarray(deriv.transpose(1, 2, 0))  # (M, d, N)
     alpha_dot = np.empty_like(alphas)
     phi_dot = np.zeros_like(phis)
     for n, j in enumerate(js):
-        jphi = phis @ j.T
-        v = np.einsum("ki,ki->k", phis.conj(), jphi) / norms2
-        alpha_dot[:, n] = -1j * v
-        term = alphas[:, n].conj()[:, None] * jphi + deriv[:, n, :] @ j.conj()
+        jphi = j @ phis
+        v = np.sum(phis.conj() * jphi, axis=0) / norms2
+        alpha_dot[n] = -1j * v
+        term = alphas[n].conj() * jphi + j.conj().T @ deriv[n]
         if phi_update == "comoving":
-            term -= v.conj()[:, None] * deriv[:, n, :]
-        phi_dot += -1j * term
+            term -= v.conj() * deriv[n]
+        phi_dot -= 1j * term
     return alpha_dot, phi_dot
 
 
@@ -508,7 +557,8 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     ``deriv_scheme`` picks the derivative estimator fed to the state
     update: ``lsq`` (windowed least squares, default) damps the noise
     self-amplification that the strictly one-sided two-point stencil
-    (``onesided``) exhibits over long runs.
+    (``onesided``) exhibits over long runs. The cycle runs on
+    component-major copies of the chain arrays.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -516,7 +566,8 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
         raise ValueError(f"unknown phi_update {phi_update!r}")
     if spec.d != chain.d or spec.n_modes != chain.n_modes:
         raise DimensionMismatch("chain and model disagree on dimensions")
-    alphas, phis = chain.alphas, chain.phis
+    alphas = np.ascontiguousarray(chain.alphas.T)
+    phis = np.ascontiguousarray(chain.phis.T)
     a_dot, p_dot = _rates(alphas, phis, chain.segment_starts, spec,
                           chain.time, delta_min, phi_update, deriv_scheme,
                           deriv_window)
@@ -530,8 +581,8 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
         raise ValueError(f"unknown integrator {integrator!r}")
     return ChainState(
         time=chain.time + eps,
-        alphas=alphas + eps * a_dot,
-        phis=phis + eps * p_dot,
+        alphas=(alphas + eps * a_dot).T,
+        phis=(phis + eps * p_dot).T,
         segment_starts=chain.segment_starts,
         n_steps=chain.n_steps + 1,
         lineage=chain.lineage,
@@ -591,13 +642,11 @@ def chain_quality(chain: ChainState,
                   delta_min: float = DEFAULT_DELTA_MIN) -> ChainQuality:
     """Increment metrics used to decide when reformatting is due."""
     alphas, phis = chain.alphas, chain.phis
-    pair_a = []
-    pair_b = []
-    for a, b in chain.segment_bounds():
-        pair_a.append(np.arange(a, b - 1))
-        pair_b.append(np.arange(a + 1, b))
-    ia = np.concatenate(pair_a)
-    ib = np.concatenate(pair_b)
+    # consecutive pairs, minus those that straddle a segment start
+    within = np.ones(chain.n_points - 1, dtype=bool)
+    within[chain.segment_starts[1:] - 1] = False
+    ia = np.nonzero(within)[0]
+    ib = ia + 1
     inc = np.abs(alphas[ib] - alphas[ia])  # (pairs, M)
     d_phi_norm = np.linalg.norm(phis[ib] - phis[ia], axis=1)
     tol = 1e-12 * (1.0 + np.sqrt(_norms2(phis[ia])))

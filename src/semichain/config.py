@@ -273,8 +273,8 @@ def validate_config(raw) -> RunConfig:
             errors.append(f"chain.{key}: must be a positive integer")
     if chain_cfg["phi_update"] not in ("comoving", "fixed_point"):
         errors.append("chain.phi_update: expected comoving|fixed_point")
-    if chain_cfg["deriv_scheme"] not in ("lsq", "lsq1", "onesided", "centered"):
-        errors.append("chain.deriv_scheme: expected lsq|lsq1|onesided|centered")
+    if chain_cfg["deriv_scheme"] not in ("lsq", "lsq1", "onesided"):
+        errors.append("chain.deriv_scheme: expected lsq|lsq1|onesided")
     if chain_cfg["integrator"] not in ("euler", "midpoint"):
         errors.append("chain.integrator: expected euler|midpoint")
     if chain_cfg["reformat"] not in ("auto", "off"):

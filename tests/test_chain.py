@@ -97,6 +97,17 @@ def test_chain_state_immutable():
         ch.alphas[0, 0] = 5.0
 
 
+def test_chain_state_accepts_any_memory_layout():
+    rng = np.random.default_rng(5)
+    alphas = rng.standard_normal((8, 1)) + 1j * rng.standard_normal((8, 1))
+    pt = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
+    for phis in (np.asfortranarray(pt.T), pt.T):
+        ch = ChainState(time=0.0, alphas=np.asfortranarray(alphas), phis=phis)
+        assert ch.phis.flags.c_contiguous and ch.alphas.flags.c_contiguous
+        assert np.array_equal(ch.phis, pt.T)
+        assert np.array_equal(ch.alphas, alphas)
+
+
 # ------------------------------------------------------------- derivatives
 
 def test_derivative_exponential_map():
@@ -393,6 +404,18 @@ def test_chain_quality_counts_duplicates():
     assert q.n_degenerate_pairs == 0
 
 
+def test_chain_quality_skips_pairs_across_segments():
+    # the jump between the two segments is never an increment
+    alphas = np.array([[0.0], [0.01], [0.02], [5.0], [5.01], [5.02]],
+                      dtype=complex)
+    phis = np.exp(alphas.conj())
+    q = sc.chain_quality(ChainState(time=0.0, alphas=alphas, phis=phis,
+                                    segment_starts=[0, 3]))
+    assert q.max_increment[0] == pytest.approx(0.01)
+    assert q.mean_increment[0] == pytest.approx(0.01)
+    assert q.n_segments == 2
+
+
 def test_chain_quality_flags_degenerate_pairs():
     alphas = np.array([[0.0], [0.0]], dtype=complex)
     phis = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -465,13 +488,116 @@ def test_reformat_gate_raises_on_corrupt_interpolant():
         sc.reformat(corrupt, params, rng)
 
 
-def test_centered_scheme_exact_on_affine_maps():
-    # centered pairs, like the other schemes, reproduce an affine map's
-    # slope exactly (it is in the fitted class)
-    b = 0.7 - 0.2j
-    v = np.array([1.0, -0.5j])
-    ch = _walk_chain(lambda a: (1.0 + b * a) * v, n=40, step=0.05, seed=91)
-    dv = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8, "centered")
-    expected = b * v
-    for k in range(1, ch.n_points - 1):
-        assert np.allclose(dv[k, 0], expected, atol=1e-10)
+# ------------------------------------------------------- windowed LSQ kernel
+
+def _segmented_chain(n, a0, seg_len=6, step=0.2, seed=3):
+    """Segments of ``seg_len`` points, random seeds around alpha0 and
+    steps of fixed length in random directions; states of
+    coherent_bargmann(a0, [0.6, 0.8]), evaluated in closed form."""
+    rng = np.random.default_rng(seed)
+    n_seg = n // seg_len
+    seeds = a0 + (rng.standard_normal(n_seg)
+                  + 1j * rng.standard_normal(n_seg)) / np.sqrt(2)
+    steps = step * np.exp(2j * np.pi * rng.random((n_seg, seg_len - 1)))
+    walk = np.concatenate([np.zeros((n_seg, 1)), np.cumsum(steps, axis=1)],
+                          axis=1)
+    alphas = (seeds[:, None] + walk).reshape(-1, 1)
+    atomic = np.array([0.6, 0.8])
+    phis = np.exp(a0 * alphas.conj() - 0.5 * a0 * a0) * atomic
+    phi0 = sc.coherent_bargmann([a0], atomic)
+    for k in (0, n_seg * seg_len - 1):
+        assert np.allclose(phis[k], phi0(alphas[k].conj()), rtol=1e-13)
+    return alphas, phis, np.arange(0, n_seg * seg_len, seg_len)
+
+
+def _lstsq_slopes(alphas, phis, starts, ks, window=2, degree=2):
+    """Reference: one np.linalg.lstsq per window, on a chain without
+    duplicates (every point is its own group)."""
+    edges = np.append(starts, alphas.shape[0])
+    seg = np.searchsorted(starts, ks, side="right") - 1
+    out = []
+    for k, g in zip(ks, seg):
+        idx = np.arange(max(edges[g], k - window),
+                        min(edges[g + 1] - 1, k + window) + 1)
+        dz = (alphas[idx, 0] - alphas[k, 0]).conj()
+        cols = 3 if degree == 2 and idx.size >= 3 else 2
+        design = np.stack([dz ** p for p in range(cols)], axis=1)
+        out.append(np.linalg.lstsq(design, phis[idx] - phis[k], rcond=None)[0][1])
+    return np.array(out)
+
+
+def _rel_err(got, ref):
+    return np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
+
+
+def test_lsq_matches_windowed_lstsq_on_large_chain():
+    # whole-chain moment sums cancel catastrophically here (relative slope
+    # errors up to 1e5); windowed moments must not
+    alphas, phis, starts = _segmented_chain(200_000, 6.0)
+    d = _derivatives(alphas, phis, starts, 1e-8, "lsq")[:, 0, :]
+    ks = np.random.default_rng(7).choice(alphas.shape[0], 2500, replace=False)
+    assert np.max(_rel_err(d[ks], _lstsq_slopes(alphas, phis, starts, ks))) <= 1e-10
+
+
+@pytest.mark.parametrize("window", [1, 3])
+def test_lsq_window_sizes(window):
+    alphas, phis, starts = _segmented_chain(3000, 1.0, seg_len=9)
+    ks = np.arange(alphas.shape[0])
+    for scheme, degree in (("lsq", 2), ("lsq1", 1)):
+        d = _derivatives(alphas, phis, starts, 1e-8, scheme, window)[:, 0, :]
+        ref = _lstsq_slopes(alphas, phis, starts, ks, window, degree)
+        assert np.max(_rel_err(d, ref)) <= 1e-10
+    # a quadratic map is in the fitted class: its slope is exact wherever
+    # the window holds 3 points
+    b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
+    z = alphas[:, 0].conj()
+    quad = (1.0 + b * z + c * z * z)[:, None] * v
+    d = _derivatives(alphas, quad, starts, 1e-8, "lsq", window)[:, 0, :]
+    pos = np.arange(alphas.shape[0]) % 9
+    full = np.minimum(pos + window, 8) - np.maximum(pos - window, 0) >= 2
+    assert np.allclose(d[full], (b + 2.0 * c * z[full])[:, None] * v,
+                       rtol=0, atol=1e-10)
+
+
+def test_lsq1_matches_affine_reference():
+    alphas, phis, starts = _segmented_chain(1200, 2.0)
+    ks = np.arange(alphas.shape[0])
+    d = _derivatives(alphas, phis, starts, 1e-8, "lsq1")[:, 0, :]
+    assert np.max(_rel_err(d, _lstsq_slopes(alphas, phis, starts, ks, 2, 1))) <= 1e-12
+    b, v = 0.7 - 0.2j, np.array([1.0, -0.5j])
+    affine = (1.0 + b * alphas.conj()) * v
+    d = _derivatives(alphas, affine, starts, 1e-8, "lsq1")
+    assert np.allclose(d[:, 0, :], b * v, rtol=0, atol=1e-12)
+
+
+def test_lsq_duplicate_runs_share_the_distinct_point_fit():
+    alphas, phis, starts = _segmented_chain(600, 1.0)
+    reps = np.repeat(np.arange(alphas.shape[0]), 1 + np.arange(alphas.shape[0]) % 3)
+    dup_starts = np.searchsorted(reps, starts)
+    d = _derivatives(alphas[reps], phis[reps], dup_starts, 1e-8, "lsq")
+    ref = _derivatives(alphas, phis, starts, 1e-8, "lsq")
+    assert np.array_equal(d, ref[reps])
+
+
+def test_lsq_two_group_segments_use_the_two_point_quotient():
+    # a segment of three points whose first two repeat, and one of two
+    # points: every window holds two groups
+    alphas = np.array([[0.0], [0.0], [0.1 + 0.05j], [1.0], [1.2 - 0.1j]])
+    v = np.array([1.0, 0.3j])
+    phis = np.exp((0.8 + 0.1j) * alphas.conj()) * v
+    starts = np.array([0, 3])
+    expected = _derivatives(alphas, phis, starts, 1e-8, "onesided")
+    for scheme in ("lsq", "lsq1"):
+        d = _derivatives(alphas, phis, starts, 1e-8, scheme)
+        assert np.allclose(d, expected, rtol=1e-13, atol=0)
+
+
+def test_lsq_resolves_nearly_coincident_points():
+    # a partner 1e-6 from its center makes the window's slope-curvature
+    # system cancel by ~1e10; the slope of a quadratic map stays exact
+    alphas = np.array([[0.5], [0.7 + 0.1j], [0.5 + 1e-6j], [0.9], [1.1 - 0.1j]])
+    b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
+    z = alphas[:, 0].conj()
+    phis = (1.0 + b * z + c * z * z)[:, None] * v
+    d = _derivatives(alphas, phis, np.array([0]), 1e-8, "lsq")[:, 0, :]
+    assert np.allclose(d, (b + 2.0 * c * z)[:, None] * v, rtol=0, atol=1e-8)
