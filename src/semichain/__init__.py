@@ -4,9 +4,8 @@ quantum systems, with a truncated-Fock brute-force reference."""
 __version__ = "0.1.0"
 
 from .chain import (ChainState, chain_derivative, chain_quality,
-                    coherent_bargmann, conditional_density,
-                    conditional_expectation, drift_velocity, estimate,
-                    initial_chain, reformat, standard_suite, step)
+                    coherent_bargmann, conditional_expectation, drift_velocity,
+                    estimate, initial_chain, reformat, standard_suite, step)
 from .errors import (ConfigError, DegenerateIncrement, DimensionMismatch,
                      EmptyModeList, InterpolationDegraded, NonHermitianH0,
                      SamplerStuck, SemichainError, TailMassExceeded,
@@ -26,7 +25,7 @@ __all__ = [
     "ZeroNormConditionalState", "antinormal_expectation", "atomic_observable",
     "bargmann_projection", "build_initial", "chain_derivative", "chain_quality",
     "classical_current_model", "coherent_amplitude", "coherent_bargmann",
-    "conditional_density", "conditional_expectation", "drift_velocity",
-    "estimate", "evolve", "initial_chain", "mode_monomial", "q_function",
-    "reformat", "standard_suite", "step", "unit_poly",
+    "conditional_expectation", "drift_velocity", "estimate", "evolve",
+    "initial_chain", "mode_monomial", "q_function", "reformat",
+    "standard_suite", "step", "unit_poly",
 ]

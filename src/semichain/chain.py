@@ -1,31 +1,23 @@
 """Semiclassical chain engine.
 
 The composite system is represented by an ordered sequence of pairs
-(alpha(k), phi(k)): a classical phase-space point per field mode and an
-unnormalized conditional atomic state attached to it. The sequence is
-sampled from the phase-space density e^{-|alpha|^2} ||phi(alpha*)||^2,
-evolved by a deterministic update cycle in which every point moves with
-its conditional drift velocity while its state picks up the local
-coupling term plus a finite-difference derivative along the chain, and
-read out as unweighted ensemble averages of conditional expectations.
+(alpha(k), phi(k)): a classical phase-space point of the field mode and
+an unnormalized conditional atomic state attached to it. The sequence
+is sampled from the phase-space density e^{-|alpha|^2} ||phi(alpha*)||^2,
+evolved by a deterministic update cycle, and read out as unweighted
+ensemble averages of conditional expectations.
 
-Two variants of the state update are provided. The ``fixed_point``
-variant advances phi(k) with the fixed-point equation of motion
+In the update cycle every point moves with its conditional drift
+velocity -i <j(t)>, and its state follows the comoving equation
 
-    dphi/dt = -i alpha* j(t) phi - i j(t)^dag dphi/dalpha*
+    dphi/dt = -i alpha* j(t) phi - i (j^dag - <j^dag>) dphi/dalpha*:
 
-even though the attached point alpha(k) moves at the same time. The
-default ``comoving`` variant adds the transport term generated by that
-motion, i.e. it subtracts the conditional mean of the current from the
-operator multiplying the derivative:
-
-    dphi/dt = -i alpha* j(t) phi - i (j^dag - <j^dag>) dphi/dalpha*,
-
-which keeps each stored state equal to the conditional state at its
-point's current position. For a one-dimensional atomic space the two
-differ by a per-point scalar factor only and give identical estimates;
-for d >= 2 the comoving form is the one whose estimates track the fully
-quantized reference (see tests/test_acceptance.py).
+the fixed-point equation of motion plus the transport term generated
+by the point's own motion, which keeps each stored state equal to the
+conditional state at its point's current position. The derivative
+dphi/dalpha* is a local least-squares fit along the chain (see
+``_derivatives``). The update is single-mode; ``step`` rejects chains
+with more than one mode.
 """
 
 from dataclasses import dataclass, field
@@ -103,11 +95,6 @@ class ChainState:
     def d(self) -> int:
         return self.phis.shape[1]
 
-    def segment_bounds(self):
-        """(start, stop) index pairs, one per segment."""
-        edges = np.append(self.segment_starts, self.n_points)
-        return list(zip(edges[:-1], edges[1:]))
-
 
 def _is_identity(f: np.ndarray) -> bool:
     return bool(np.array_equal(f, np.eye(f.shape[0])))
@@ -127,12 +114,6 @@ def conditional_expectation(phi, f) -> complex:
     if _is_identity(f):
         return 1.0 + 0.0j
     return complex(np.vdot(phi, f @ phi) / n2)
-
-
-def conditional_density(phi) -> np.ndarray:
-    """Rank-1 conditional density phi phi^dag (trace = ||phi||^2)."""
-    phi = as_state(phi)
-    return np.outer(phi, phi.conj())
 
 
 def drift_velocity(phi, t: float, spec: ModelSpec) -> np.ndarray:
@@ -197,42 +178,6 @@ def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
                    group_lo=group_lo, group_hi=group_hi)
 
 
-def _duplicate_groups(alphas, phis, segment_starts, delta_min):
-    """Per point: nearest in-segment index outside its duplicate run,
-    in each direction (-1 if none)."""
-    g = _group_structure(alphas, phis, segment_starts, delta_min)
-    gid = g.gid
-    has_prev = gid > g.group_lo[gid]
-    has_next = gid < g.group_hi[gid]
-    prev_distinct = np.where(has_prev, g.last[np.maximum(gid - 1, 0)], -1)
-    next_distinct = np.where(
-        has_next, g.first[np.minimum(gid + 1, len(g.first) - 1)], -1)
-    return prev_distinct, next_distinct
-
-
-def _difference_pairs(alphas, phis, segment_starts, delta_min):
-    """Index pairs (ka, kb) whose secant estimates dphi/dalpha* at each
-    point, skipping duplicate runs.
-
-    A point is paired with the next distinct in-segment point, falling
-    back to the previous one at segment ends (the backward rule for the
-    last chain point). Points whose whole segment duplicates them are
-    flagged fully degenerate.
-    """
-    n = alphas.shape[0]
-    prev_d, next_d = _duplicate_groups(alphas, phis, segment_starts, delta_min)
-    ks = np.arange(n)
-    last_of_seg = np.zeros(n, dtype=bool)
-    last_of_seg[np.append(segment_starts[1:], n) - 1] = True
-    # primary direction: forward, backward for the segment-last point
-    fwd = np.where(next_d >= 0, next_d, prev_d)
-    bwd = np.where(prev_d >= 0, prev_d, next_d)
-    partner = np.where(last_of_seg, bwd, fwd)
-    fully_degenerate = partner < 0
-    partner = np.where(fully_degenerate, ks, partner)
-    return np.minimum(ks, partner), np.maximum(ks, partner), fully_degenerate
-
-
 def chain_derivative(chain: ChainState, k: int, n: int,
                      delta_min: float = DEFAULT_DELTA_MIN) -> np.ndarray:
     """Finite-difference estimate of dphi/dalpha_n* at point k.
@@ -249,12 +194,17 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     if not 0 <= n < chain.n_modes:
         raise IndexError(f"mode index {n} out of range")
     alphas, phis = chain.alphas, chain.phis
-    ka, kb, degenerate = _difference_pairs(
-        alphas, phis, chain.segment_starts, delta_min)
-    if degenerate[k]:
+    g = _group_structure(alphas, phis, chain.segment_starts, delta_min)
+    gk = g.gid[k]
+    if gk < g.group_hi[gk]:
+        partner = g.first[gk + 1]
+    elif gk > g.group_lo[gk]:
+        partner = g.last[gk - 1]
+    else:  # the whole segment repeats point k
         return np.zeros(chain.d, dtype=complex)
-    dphi = phis[kb[k]] - phis[ka[k]]
-    dstar = np.conj(alphas[kb[k], n] - alphas[ka[k], n])
+    ka, kb = min(k, partner), max(k, partner)
+    dphi = phis[kb] - phis[ka]
+    dstar = np.conj(alphas[kb, n] - alphas[ka, n])
     if abs(dstar) < delta_min:
         if np.linalg.norm(dphi) <= 1e-12 * (1.0 + np.linalg.norm(phis[k])):
             return np.zeros(chain.d, dtype=complex)
@@ -264,93 +214,7 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     return dphi / dstar
 
 
-def _pair_derivatives(alphas, phis, segment_starts, delta_min):
-    """Two-point difference-quotient derivatives, shape (N, M, d)."""
-    ka, kb, fully_degenerate = _difference_pairs(
-        alphas, phis, segment_starts, delta_min)
-    d_phi = phis[kb] - phis[ka]
-    dstar = np.conj(alphas[kb] - alphas[ka])  # (N, M)
-    tol = _phi_tol(phis)
-    small = np.abs(dstar) < delta_min
-    if np.any(small):
-        moved = np.linalg.norm(d_phi, axis=1) > tol
-        bad = small & (moved & ~fully_degenerate)[:, None]
-        if np.any(bad):
-            k, n_mode = np.argwhere(bad)[0]
-            raise DegenerateIncrement(
-                f"increment of mode {n_mode} collapsed at point {k} while "
-                f"the conditional states differ; reformat the chain")
-        dstar = np.where(small, 1.0, dstar)  # masked out below
-    deriv = d_phi[:, None, :] / dstar[:, :, None]
-    if np.any(small):
-        deriv[small] = 0.0
-    if np.any(fully_degenerate):
-        deriv[fully_degenerate] = 0.0
-    return deriv
-
-
-def _lsq_derivatives(alphas, phis, segment_starts, delta_min, window=2,
-                     degree=2):
-    """Local least-squares derivatives, shape (N, M, d).
-
-    Fits a local polynomial model of phi in (alpha* - alpha*(k)) over
-    the distinct chain points within ``window`` duplicate-groups of k's
-    group (same segment, center included) and returns the linear
-    coefficients. With a single partner this reproduces the two-point
-    quotient exactly; with more partners the fit both averages the
-    random first-order error of the quotient (damping the noise
-    self-amplification that strictly one-sided differencing shows over
-    long runs) and, at ``degree`` 2, absorbs the curvature of phi that
-    otherwise dominates the error. Working on duplicate groups keeps
-    Metropolis repeats evolving identically and guarantees the window
-    spans distinct points whenever the segment has any. Multimode
-    chains use the affine model regardless of ``degree``.
-
-    Single-mode chains are fitted directly on each window's increments
-    (see ``_lsq_single_mode``) and return a transposed view of a
-    component-major (M, d, N) array.
-    """
-    n, m = alphas.shape
-    groups = _group_structure(alphas, phis, segment_starts, delta_min)
-    reps = groups.first
-    n_groups = reps.shape[0]
-    gs = np.arange(n_groups)
-    lo = np.maximum(groups.group_lo, gs - window)
-    hi = np.minimum(groups.group_hi, gs + window)
-
-    if m == 1:
-        slope = _lsq_single_mode(alphas, phis, groups, lo, hi, window,
-                                 delta_min, degree)
-        return np.take(slope, groups.gid, axis=1)[None].transpose(2, 0, 1)
-
-    gidx = np.clip(gs[:, None] + np.arange(-window, window + 1)[None, :],
-                   0, n_groups - 1)
-    w = ((gidx >= lo[:, None]) & (gidx <= hi[:, None])).astype(float)
-    pidx = reps[gidx]  # (G, W) representative point per window slot
-    phw = phis[pidx]   # (G, W, d)
-    dstar = (alphas[pidx] - alphas[reps][:, None, :]).conj()  # (G, W, M)
-    spread2 = np.einsum("nwm,nw->n", np.abs(dstar) ** 2, w)
-    degenerate = spread2 < (delta_min ** 2)
-    _check_collapsed(np.nonzero(degenerate)[0], lo, hi, reps, phis)
-    design = np.concatenate(
-        [np.ones(pidx.shape + (1,), dtype=complex), dstar],
-        axis=2) * w[:, :, None]
-    n_p = design.shape[2]
-    gram = np.einsum("nwi,nwj->nij", design.conj(), design)
-    rhs = np.einsum("nwi,nwe->nie", design.conj(), phw)
-    gram[degenerate] = np.eye(n_p)
-    rhs[degenerate] = 0.0
-    # ridge keeps nearly collinear multimode spreads solvable
-    ridge = 1e-12 * np.maximum(spread2, delta_min ** 2)
-    gram[:, np.arange(1, n_p), np.arange(1, n_p)] += ridge[:, None]
-    coef = np.linalg.solve(gram, rhs)  # (G, P, d)
-    out = coef[groups.gid, 1: m + 1, :]
-    if np.any(degenerate):
-        out[degenerate[groups.gid]] = 0.0
-    return out
-
-
-# Groups per tile of the single-mode kernel: small enough that every
+# Groups per tile of the derivative kernel: small enough that every
 # temporary stays in cache and is recycled by the allocator instead of
 # being mapped afresh on each call.
 _TILE = 1024
@@ -360,21 +224,36 @@ _TILE = 1024
 _REFIT_CONDITION = 1e3
 
 
-def _lsq_single_mode(alphas, phis, groups, lo, hi, window, delta_min, degree):
-    """Per-group polynomial-fit slope for one mode, shape (d, G).
+def _derivatives(alphas, phis, segment_starts, delta_min, window=2):
+    """Local least-squares chain derivative dphi/dalpha* of a single-mode
+    chain, component-major: shape (d, N) for ``alphas`` (N, 1) and
+    ``phis`` (N, d).
 
-    The model lives in the variable z = alpha*; design columns are
-    (1, D, D^2) with D = z_partner - z_center, fitted to the state
-    increments dphi = phi_partner - phi_center. Every moment is summed
-    directly over the window's increments, never as a difference of
-    whole-chain sums, so no cancellation grows with N or |alpha|
-    (Chan, Golub & LeVeque, Am. Stat. 37, 1983). The groups are fitted
-    in tiles, each extended by ``window`` groups on both sides so that
-    its windows are complete. The few windows with a nearly coincident
-    pair of points, where the moments cannot resolve the curvature to
-    full precision, are refitted by ``_refit_slopes``.
+    Fits a quadratic in D = z_partner - z_center (z = alpha*) to the
+    state increments over the distinct chain points within ``window``
+    duplicate-groups of the center's group (same segment, center
+    included) and returns the linear coefficient. With a single partner
+    this reproduces the two-point quotient exactly; with more it both
+    averages the random first-order error of the quotient (damping the
+    noise self-amplification that strictly one-sided differencing shows
+    over long runs) and absorbs the curvature of phi. Working on
+    duplicate groups keeps Metropolis repeats evolving identically and
+    guarantees the window spans distinct points whenever the segment
+    has any.
+
+    Every moment is summed directly over the window's increments, never
+    as a difference of whole-chain sums, so no cancellation grows with N
+    or |alpha| (Chan, Golub & LeVeque, Am. Stat. 37, 1983). The groups
+    are fitted in tiles, each extended by ``window`` groups on both
+    sides so that its windows are complete. The few windows with a
+    nearly coincident pair of points, where the moments cannot resolve
+    the curvature to full precision, are refitted by ``_refit_slopes``.
     """
+    groups = _group_structure(alphas, phis, segment_starts, delta_min)
     n_groups = groups.first.shape[0]
+    gs = np.arange(n_groups)
+    lo = np.maximum(groups.group_lo, gs - window)
+    hi = np.minimum(groups.group_hi, gs + window)
     # no pair further apart than the longest segment shares a segment
     window = min(window, int(np.max(groups.group_hi - groups.group_lo)))
     slope = np.empty((phis.shape[1], n_groups), dtype=complex)
@@ -388,8 +267,7 @@ def _lsq_single_mode(alphas, phis, groups, lo, hi, window, delta_min, degree):
                                  np.take(phis.T, reps, axis=1),
                                  groups.seg_of_group[ext], window)
         slope[:, a:b], degenerate, ill = _window_slope(
-            sm[:, core], pm[:, :, core], hi[a:b] - lo[a:b] + 1, delta_min,
-            degree)
+            sm[:, core], pm[:, :, core], hi[a:b] - lo[a:b] + 1, delta_min)
         _check_collapsed(a + np.nonzero(degenerate)[0], lo, hi, groups.first,
                          phis)
         refit.append(a + np.nonzero(ill)[0])
@@ -397,7 +275,7 @@ def _lsq_single_mode(alphas, phis, groups, lo, hi, window, delta_min, degree):
     if gs.size:
         slope[:, gs] = _refit_slopes(alphas, phis, groups.first, gs, lo, hi,
                                      window)
-    return slope
+    return np.take(slope, groups.gid, axis=1)
 
 
 def _refit_slopes(alphas, phis, reps, gs, lo, hi, window):
@@ -456,14 +334,14 @@ def _window_moments(z, ph, seg, window):
     return sm, pm
 
 
-def _window_slope(sm, pm, counts, delta_min, degree):
+def _window_slope(sm, pm, counts, delta_min):
     """Closed-form slope from window moments, shape (d, groups), with
     the masks of windows without a usable increment (their slope is 0)
     and of quadratic windows too ill-conditioned for the closed form.
 
     Eliminating the intercept leaves a Hermitian 2x2 system in slope
     and curvature (its Schur complement); windows of fewer than 3
-    groups, and ``degree`` 1, solve the affine 1x1 one.
+    groups solve the affine 1x1 one.
     """
     s2, s11, s22, s1, s12 = sm
     r1, r0, r2 = pm
@@ -473,7 +351,7 @@ def _window_slope(sm, pm, counts, delta_min, degree):
     mean1 = s1.conj() / counts
     p = np.where(degenerate, 1.0, s11 - (mean1 * s1).real)
     u = r1 - mean1 * r0
-    quad = (degree >= 2) & (counts >= 3) & ~degenerate
+    quad = (counts >= 3) & ~degenerate
     mean2 = s2.conj() / counts
     q = s12 - mean1 * s2
     t = s22 - (mean2 * s2).real
@@ -498,85 +376,55 @@ def _check_collapsed(degenerate, lo, hi, reps, phis):
                 f"the conditional states differ; reformat the chain")
 
 
-def _derivatives(alphas, phis, segment_starts, delta_min, scheme="onesided",
-                 window=2):
-    """Vectorized chain derivatives, shape (N, M, d).
-
-    ``onesided`` matches chain_derivative for every (k, n); ``lsq`` is
-    the windowed quadratic least-squares fit used by default in the
-    update cycle, ``lsq1`` its affine version.
-    """
-    if scheme in ("lsq", "lsq1"):
-        return _lsq_derivatives(alphas, phis, segment_starts, delta_min,
-                                window=window,
-                                degree=1 if scheme == "lsq1" else 2)
-    if scheme != "onesided":
-        raise ValueError(f"unknown derivative scheme {scheme!r}")
-    return _pair_derivatives(alphas, phis, segment_starts, delta_min)
-
-
-def _rates(alphas, phis, segment_starts, spec, t, delta_min, phi_update,
-           deriv_scheme="onesided", deriv_window=2):
+def _rates(alphas, phis, segment_starts, spec, t, delta_min, deriv_window=2):
     """Time derivatives of (alphas, phis) from a frozen snapshot.
 
-    Component-major: ``alphas`` is (M, N), ``phis`` is (d, N), and the
+    Component-major: ``alphas`` is (1, N), ``phis`` is (d, N), and the
     rates come back in the same layouts.
     """
     norms2 = np.sum(phis.real ** 2 + phis.imag ** 2, axis=0)
     if np.any(norms2 == 0.0):
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
-    js = rotated_currents(spec, t)
+    (j,) = rotated_currents(spec, t)
     deriv = _derivatives(alphas.T, phis.T, segment_starts, delta_min,
-                         deriv_scheme, deriv_window)
-    deriv = np.ascontiguousarray(deriv.transpose(1, 2, 0))  # (M, d, N)
-    alpha_dot = np.empty_like(alphas)
-    phi_dot = np.zeros_like(phis)
-    for n, j in enumerate(js):
-        jphi = j @ phis
-        v = np.sum(phis.conj() * jphi, axis=0) / norms2
-        alpha_dot[n] = -1j * v
-        term = alphas[n].conj() * jphi + j.conj().T @ deriv[n]
-        if phi_update == "comoving":
-            term -= v.conj() * deriv[n]
-        phi_dot -= 1j * term
-    return alpha_dot, phi_dot
+                         deriv_window)
+    jphi = j @ phis
+    v = np.sum(phis.conj() * jphi, axis=0) / norms2
+    term = alphas[0].conj() * jphi + j.conj().T @ deriv
+    term -= v.conj() * deriv
+    return (-1j * v)[None], -1j * term
 
 
 def step(chain: ChainState, spec: ModelSpec, eps: float,
          delta_min: float = DEFAULT_DELTA_MIN,
-         phi_update: str = "comoving",
          integrator: str = "euler",
-         deriv_scheme: str = "lsq",
          deriv_window: int = 2) -> ChainState:
-    """One update cycle of length eps.
+    """One comoving update cycle of length eps on a single-mode chain.
 
     Both the phase-space move and the state update are computed from
     the pre-update snapshot and then committed together, so the cycle
     is order-independent across points. ``integrator='midpoint'``
     evaluates the rates a second time at a half-step snapshot.
-    ``deriv_scheme`` picks the derivative estimator fed to the state
-    update: ``lsq`` (windowed least squares, default) damps the noise
-    self-amplification that the strictly one-sided two-point stencil
-    (``onesided``) exhibits over long runs. The cycle runs on
+    ``deriv_window`` is the half-width, in duplicate groups, of the
+    least-squares window of the chain derivative. The cycle runs on
     component-major copies of the chain arrays.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if phi_update not in ("comoving", "fixed_point"):
-        raise ValueError(f"unknown phi_update {phi_update!r}")
     if spec.d != chain.d or spec.n_modes != chain.n_modes:
         raise DimensionMismatch("chain and model disagree on dimensions")
+    if chain.n_modes != 1:
+        raise DimensionMismatch(
+            f"the chain update is single-mode; got {chain.n_modes} modes")
     alphas = np.ascontiguousarray(chain.alphas.T)
     phis = np.ascontiguousarray(chain.phis.T)
     a_dot, p_dot = _rates(alphas, phis, chain.segment_starts, spec,
-                          chain.time, delta_min, phi_update, deriv_scheme,
-                          deriv_window)
+                          chain.time, delta_min, deriv_window)
     if integrator == "midpoint":
         mid_a = alphas + 0.5 * eps * a_dot
         mid_p = phis + 0.5 * eps * p_dot
         a_dot, p_dot = _rates(mid_a, mid_p, chain.segment_starts, spec,
-                              chain.time + 0.5 * eps, delta_min, phi_update,
-                              deriv_scheme, deriv_window)
+                              chain.time + 0.5 * eps, delta_min, deriv_window)
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
     return ChainState(

@@ -8,6 +8,7 @@ so the run manifest can echo them.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,6 @@ CHAIN_DEFAULTS = {
     "delta_min": 1e-8,
     "burn_in": None,          # None -> 10 * n_points proposals
     "batch_count": 32,
-    "phi_update": "comoving",
-    "deriv_scheme": "lsq",
     "deriv_window": 2,
     "integrator": "euler",
     "reformat": "auto",       # auto | off
@@ -60,13 +59,35 @@ class RunConfig:
     applied_defaults: dict = field(repr=False)
 
 
+def _finite_number(x) -> bool:
+    """A JSON number other than NaN and +-Infinity (which json.loads
+    accepts); booleans are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _positive_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
+def _whole_multiple(a, b) -> bool:
+    """a / b is a positive integer, within 1e-9 relative."""
+    ratio = a / b
+    return (math.isfinite(ratio) and round(ratio) >= 1
+            and abs(ratio - round(ratio)) <= 1e-9 * ratio)
+
+
 def _complex_scalar(v, path, errors):
     if (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
+            and all(_finite_number(x) for x in v)):
         return complex(v[0], v[1])
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
+    if _finite_number(v):
         return complex(v)
-    errors.append(f"{path}: expected a number or [re, im] pair, got {v!r}")
+    errors.append(f"{path}: expected a finite number or [re, im] pair, got {v!r}")
     return 0j
 
 
@@ -182,19 +203,15 @@ def _observables_from(raw, n_modes, d, errors):
     return tuple(out)
 
 
-def _positive(raw, key, path, errors, integer=False):
+def _positive(raw, key, path, errors):
     v = raw.get(key)
-    kind = "a positive integer" if integer else "a positive number"
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        errors.append(f"{path}.{key}: expected {kind}, got {v!r}")
-        return None
-    if integer and int(v) != v:
-        errors.append(f"{path}.{key}: expected an integer, got {v!r}")
+    if not _finite_number(v):
+        errors.append(f"{path}.{key}: expected a positive number, got {v!r}")
         return None
     if v <= 0:
         errors.append(f"{path}.{key}: must be positive, got {v!r}")
         return None
-    return int(v) if integer else float(v)
+    return float(v)
 
 
 def validate_config(raw) -> RunConfig:
@@ -264,17 +281,15 @@ def validate_config(raw) -> RunConfig:
             chain_cfg[key] = raw_chain[key]
         else:
             applied[f"chain.{key}"] = default
-    for key in ("eps", "step_cap", "delta_min"):
-        if not isinstance(chain_cfg[key], (int, float)) or chain_cfg[key] <= 0:
-            errors.append(f"chain.{key}: must be a positive number")
+    eps = _positive(chain_cfg, "eps", "chain", errors)
+    for key in ("step_cap", "delta_min"):
+        _positive(chain_cfg, key, "chain", errors)
     for key in ("n_points", "segment_len", "batch_count", "deriv_window"):
-        v = chain_cfg[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+        if not _positive_int(chain_cfg[key]):
             errors.append(f"chain.{key}: must be a positive integer")
-    if chain_cfg["phi_update"] not in ("comoving", "fixed_point"):
-        errors.append("chain.phi_update: expected comoving|fixed_point")
-    if chain_cfg["deriv_scheme"] not in ("lsq", "lsq1", "onesided"):
-        errors.append("chain.deriv_scheme: expected lsq|lsq1|onesided")
+    for key in ("burn_in", "reformat_burn_in"):
+        if chain_cfg[key] is not None and not _positive_int(chain_cfg[key]):
+            errors.append(f"chain.{key}: must be null or a positive integer")
     if chain_cfg["integrator"] not in ("euler", "midpoint"):
         errors.append("chain.integrator: expected euler|midpoint")
     if chain_cfg["reformat"] not in ("auto", "off"):
@@ -302,6 +317,11 @@ def validate_config(raw) -> RunConfig:
             errors.append(f"initial.alpha0: {alpha0.shape[0]} entries for "
                           f"{spec.n_modes} modes")
 
+    if (spec is not None and spec.n_modes > 1
+            and engine in ("chain", "both")):
+        errors.append(f"engine: {engine} needs a single-mode model, this one "
+                      f"has {spec.n_modes} modes; use engine oracle")
+
     observables = ()
     if spec is not None:
         observables = _observables_from(raw, spec.n_modes, spec.d, errors)
@@ -309,12 +329,12 @@ def validate_config(raw) -> RunConfig:
             errors.append("observables: at least one observable is required")
 
     if t_final is not None and record_every is not None:
-        eps = chain_cfg["eps"]
-        if isinstance(eps, (int, float)) and eps > 0:
-            ratio = record_every / eps
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                errors.append("schedule.record_every must be an integer "
-                              "multiple of chain.eps")
+        if not _whole_multiple(t_final, record_every):
+            errors.append("schedule.t_final must be a positive integer "
+                          "multiple of schedule.record_every")
+        if eps is not None and not _whole_multiple(record_every, eps):
+            errors.append("schedule.record_every must be a positive integer "
+                          "multiple of chain.eps")
 
     if errors:
         raise ConfigError(errors)

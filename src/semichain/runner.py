@@ -89,9 +89,6 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
     chain_state = None
     oracle_state = None
     if config.engine in ("chain", "both"):
-        if config.spec.n_modes > 1:
-            _log("warning: multimode chains are experimental (the chain "
-                 "derivative reuses one partner for every mode)")
         phi0 = coherent_bargmann(config.alpha0, config.atomic)
         _log(f"sampling initial chain: N={config.chain['n_points']}, "
              f"step_cap={config.chain['step_cap']}")
@@ -136,9 +133,7 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
             for _ in range(steps_per_block):
                 chain_state = step(chain_state, config.spec, eps,
                                    delta_min=c["delta_min"],
-                                   phi_update=c["phi_update"],
                                    integrator=c["integrator"],
-                                   deriv_scheme=c["deriv_scheme"],
                                    deriv_window=c["deriv_window"])
             if auto_reformat:
                 quality = chain_quality(chain_state, c["delta_min"])

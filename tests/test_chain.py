@@ -3,8 +3,8 @@ import pytest
 
 import semichain as sc
 from semichain.chain import ChainState, _derivatives
-from semichain.errors import (DegenerateIncrement, InterpolationDegraded,
-                              ZeroNormConditionalState)
+from semichain.errors import (DegenerateIncrement, DimensionMismatch,
+                              InterpolationDegraded, ZeroNormConditionalState)
 from semichain.observables import Observable, mode_monomial
 from semichain.oracle import bargmann_projection
 from semichain.sampling import SamplerParams
@@ -48,18 +48,6 @@ def test_conditional_expectation_scale_invariance(pauli):
     for f in (pauli["x"], pauli["minus"]):
         assert sc.conditional_expectation(c * phi, f) == pytest.approx(
             sc.conditional_expectation(phi, f))
-
-
-def test_conditional_density(pauli):
-    rho = sc.conditional_density([1.0, 0.0])
-    assert np.allclose(rho, np.diag([1.0, 0.0]))
-    phi = np.array([0.4 - 0.3j, 1.2 + 0.1j])
-    rho = sc.conditional_density(phi)
-    assert np.allclose(rho, rho.conj().T)
-    assert np.trace(rho).real == pytest.approx(np.vdot(phi, phi).real)
-    evals = np.linalg.eigvalsh(rho)
-    assert evals[0] == pytest.approx(0.0, abs=1e-12)
-    assert evals[-1] == pytest.approx(np.vdot(phi, phi).real)
 
 
 def test_drift_velocity_scalar_current():
@@ -160,7 +148,7 @@ def test_derivative_degenerate_increment_raises():
     with pytest.raises(DegenerateIncrement):
         sc.chain_derivative(ch, 0, 0)
     with pytest.raises(DegenerateIncrement):
-        _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8, "lsq")
+        _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8)
 
 
 def test_derivative_fully_duplicate_chain_is_zero():
@@ -171,13 +159,18 @@ def test_derivative_fully_duplicate_chain_is_zero():
     assert np.allclose(sc.chain_derivative(ch, 1, 0), 0.0)
 
 
-def test_vectorized_derivatives_match_public_op():
+def test_chain_derivative_matches_explicit_quotients():
+    # forward quotient inside a segment, backward at each segment's last
+    # point; no pair straddles a segment start
     v = np.array([0.6, 0.8j])
     ch = _walk_chain(lambda a: np.exp((1 + 0.5j) * a) * v, n=60, step=0.05,
                      seed=13, segment_starts=[0, 20, 40])
-    dv = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8, "onesided")
+    a, p = ch.alphas[:, 0], ch.phis
     for k in range(ch.n_points):
-        assert np.allclose(dv[k, 0], sc.chain_derivative(ch, k, 0), atol=1e-12)
+        j = k - 1 if k in (19, 39, 59) else k + 1
+        expected = (p[j] - p[k]) / np.conj(a[j] - a[k])
+        assert np.allclose(sc.chain_derivative(ch, k, 0), expected,
+                           rtol=1e-13, atol=0)
 
 
 def test_lsq_derivative_beats_quotient_on_curvature():
@@ -185,10 +178,11 @@ def test_lsq_derivative_beats_quotient_on_curvature():
     v = np.array([1.0, 0.0])
     ch = _walk_chain(lambda a: np.exp(beta * a) * v, n=400, step=0.1, seed=17)
     expected = beta * np.exp(beta * ch.alphas[:, 0].conj())
-    d_pair = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8, "onesided")
-    d_lsq = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8, "lsq")
-    err_pair = np.abs(d_pair[:, 0, 0] - expected) / np.abs(expected)
-    err_lsq = np.abs(d_lsq[:, 0, 0] - expected) / np.abs(expected)
+    d_pair = np.array([sc.chain_derivative(ch, k, 0)[0]
+                       for k in range(ch.n_points)])
+    d_lsq = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8)[0]
+    err_pair = np.abs(d_pair - expected) / np.abs(expected)
+    err_lsq = np.abs(d_lsq - expected) / np.abs(expected)
     assert np.median(err_lsq) < 0.5 * np.median(err_pair)
 
 
@@ -267,7 +261,9 @@ def test_step_ordering_is_a_numerical_device(jc_spec):
     ch = ChainState(time=1.0, alphas=base.alphas, phis=phis,
                     segment_starts=base.segment_starts)
     # reverse every segment
-    perm = np.concatenate([np.arange(a, b)[::-1] for a, b in ch.segment_bounds()])
+    edges = np.append(ch.segment_starts, ch.n_points)
+    perm = np.concatenate([np.arange(a, b)[::-1]
+                           for a, b in zip(edges[:-1], edges[1:])])
     ch_rev = ChainState(time=1.0, alphas=ch.alphas[perm], phis=ch.phis[perm],
                         segment_starts=ch.segment_starts)
     eps = 1e-3
@@ -279,21 +275,13 @@ def test_step_ordering_is_a_numerical_device(jc_spec):
     assert np.max(rel) < 1e-4
 
 
-def test_step_variants_agree_for_scalar_atoms():
-    # d = 1: the update variants differ by a per-point scalar only
-    spec = sc.classical_current_model(0.4, 1.3)
-    phi0 = sc.coherent_bargmann([0.3], [1.0])
+def test_step_rejects_multimode_chain():
+    spec = sc.classical_current_model([0.4, 0.2], [1.0, 1.3])
     rng = np.random.default_rng(41)
-    ch = sc.initial_chain(phi0, 1, 200, 0.3, rng)
-    obs = Observable(f=None, poly=mode_monomial(1, 0, 1, 1), name="aad")
-    a = b = ch
-    for _ in range(200):
-        a = sc.step(a, spec, 1e-3, phi_update="comoving")
-        b = sc.step(b, spec, 1e-3, phi_update="fixed_point")
-    va, _ = sc.estimate(a, obs)
-    vb, _ = sc.estimate(b, obs)
-    assert np.allclose(a.alphas, b.alphas, atol=1e-10)
-    assert va == pytest.approx(vb, abs=1e-10)
+    alphas = rng.standard_normal((10, 2)) + 1j * rng.standard_normal((10, 2))
+    ch = ChainState(time=0.0, alphas=alphas, phis=np.ones((10, 1)))
+    with pytest.raises(DimensionMismatch, match="single-mode"):
+        sc.step(ch, spec, 1e-3)
 
 
 def test_step_holomorphy_no_alpha_dependence(jc_spec):
@@ -464,7 +452,7 @@ def test_reformat_removes_stretched_gap():
     ch = sc.initial_chain(phi0, 1, 2000, 0.3, rng, params=params)
     # synthetically stretch one in-segment increment beyond 2 * cap
     alphas = ch.alphas.copy()
-    a, b = ch.segment_bounds()[0]
+    a, b = ch.segment_starts[:2]
     alphas[a + 1: b] += 0.7
     phis = np.array([phi0(x.conj()) for x in alphas[:, 0]])
     bad = ChainState(time=0.0, alphas=alphas, phis=phis,
@@ -510,7 +498,7 @@ def _segmented_chain(n, a0, seg_len=6, step=0.2, seed=3):
     return alphas, phis, np.arange(0, n_seg * seg_len, seg_len)
 
 
-def _lstsq_slopes(alphas, phis, starts, ks, window=2, degree=2):
+def _lstsq_slopes(alphas, phis, starts, ks, window=2):
     """Reference: one np.linalg.lstsq per window, on a chain without
     duplicates (every point is its own group)."""
     edges = np.append(starts, alphas.shape[0])
@@ -520,7 +508,7 @@ def _lstsq_slopes(alphas, phis, starts, ks, window=2, degree=2):
         idx = np.arange(max(edges[g], k - window),
                         min(edges[g + 1] - 1, k + window) + 1)
         dz = (alphas[idx, 0] - alphas[k, 0]).conj()
-        cols = 3 if degree == 2 and idx.size >= 3 else 2
+        cols = 3 if idx.size >= 3 else 2
         design = np.stack([dz ** p for p in range(cols)], axis=1)
         out.append(np.linalg.lstsq(design, phis[idx] - phis[k], rcond=None)[0][1])
     return np.array(out)
@@ -534,7 +522,7 @@ def test_lsq_matches_windowed_lstsq_on_large_chain():
     # whole-chain moment sums cancel catastrophically here (relative slope
     # errors up to 1e5); windowed moments must not
     alphas, phis, starts = _segmented_chain(200_000, 6.0)
-    d = _derivatives(alphas, phis, starts, 1e-8, "lsq")[:, 0, :]
+    d = _derivatives(alphas, phis, starts, 1e-8).T
     ks = np.random.default_rng(7).choice(alphas.shape[0], 2500, replace=False)
     assert np.max(_rel_err(d[ks], _lstsq_slopes(alphas, phis, starts, ks))) <= 1e-10
 
@@ -543,40 +531,28 @@ def test_lsq_matches_windowed_lstsq_on_large_chain():
 def test_lsq_window_sizes(window):
     alphas, phis, starts = _segmented_chain(3000, 1.0, seg_len=9)
     ks = np.arange(alphas.shape[0])
-    for scheme, degree in (("lsq", 2), ("lsq1", 1)):
-        d = _derivatives(alphas, phis, starts, 1e-8, scheme, window)[:, 0, :]
-        ref = _lstsq_slopes(alphas, phis, starts, ks, window, degree)
-        assert np.max(_rel_err(d, ref)) <= 1e-10
+    d = _derivatives(alphas, phis, starts, 1e-8, window).T
+    ref = _lstsq_slopes(alphas, phis, starts, ks, window)
+    assert np.max(_rel_err(d, ref)) <= 1e-10
     # a quadratic map is in the fitted class: its slope is exact wherever
     # the window holds 3 points
     b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
     z = alphas[:, 0].conj()
     quad = (1.0 + b * z + c * z * z)[:, None] * v
-    d = _derivatives(alphas, quad, starts, 1e-8, "lsq", window)[:, 0, :]
+    d = _derivatives(alphas, quad, starts, 1e-8, window).T
     pos = np.arange(alphas.shape[0]) % 9
     full = np.minimum(pos + window, 8) - np.maximum(pos - window, 0) >= 2
     assert np.allclose(d[full], (b + 2.0 * c * z[full])[:, None] * v,
                        rtol=0, atol=1e-10)
 
 
-def test_lsq1_matches_affine_reference():
-    alphas, phis, starts = _segmented_chain(1200, 2.0)
-    ks = np.arange(alphas.shape[0])
-    d = _derivatives(alphas, phis, starts, 1e-8, "lsq1")[:, 0, :]
-    assert np.max(_rel_err(d, _lstsq_slopes(alphas, phis, starts, ks, 2, 1))) <= 1e-12
-    b, v = 0.7 - 0.2j, np.array([1.0, -0.5j])
-    affine = (1.0 + b * alphas.conj()) * v
-    d = _derivatives(alphas, affine, starts, 1e-8, "lsq1")
-    assert np.allclose(d[:, 0, :], b * v, rtol=0, atol=1e-12)
-
-
 def test_lsq_duplicate_runs_share_the_distinct_point_fit():
     alphas, phis, starts = _segmented_chain(600, 1.0)
     reps = np.repeat(np.arange(alphas.shape[0]), 1 + np.arange(alphas.shape[0]) % 3)
     dup_starts = np.searchsorted(reps, starts)
-    d = _derivatives(alphas[reps], phis[reps], dup_starts, 1e-8, "lsq")
-    ref = _derivatives(alphas, phis, starts, 1e-8, "lsq")
-    assert np.array_equal(d, ref[reps])
+    d = _derivatives(alphas[reps], phis[reps], dup_starts, 1e-8)
+    ref = _derivatives(alphas, phis, starts, 1e-8)
+    assert np.array_equal(d, ref[:, reps])
 
 
 def test_lsq_two_group_segments_use_the_two_point_quotient():
@@ -586,10 +562,10 @@ def test_lsq_two_group_segments_use_the_two_point_quotient():
     v = np.array([1.0, 0.3j])
     phis = np.exp((0.8 + 0.1j) * alphas.conj()) * v
     starts = np.array([0, 3])
-    expected = _derivatives(alphas, phis, starts, 1e-8, "onesided")
-    for scheme in ("lsq", "lsq1"):
-        d = _derivatives(alphas, phis, starts, 1e-8, scheme)
-        assert np.allclose(d, expected, rtol=1e-13, atol=0)
+    ch = ChainState(time=0.0, alphas=alphas, phis=phis, segment_starts=starts)
+    expected = [sc.chain_derivative(ch, k, 0) for k in range(ch.n_points)]
+    d = _derivatives(alphas, phis, starts, 1e-8).T
+    assert np.allclose(d, expected, rtol=1e-13, atol=0)
 
 
 def test_lsq_resolves_nearly_coincident_points():
@@ -599,5 +575,5 @@ def test_lsq_resolves_nearly_coincident_points():
     b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
     z = alphas[:, 0].conj()
     phis = (1.0 + b * z + c * z * z)[:, None] * v
-    d = _derivatives(alphas, phis, np.array([0]), 1e-8, "lsq")[:, 0, :]
+    d = _derivatives(alphas, phis, np.array([0]), 1e-8).T
     assert np.allclose(d, (b + 2.0 * c * z)[:, None] * v, rtol=0, atol=1e-8)

@@ -145,3 +145,63 @@ def test_centered_deriv_scheme_rejected_with_other_errors():
     probs = exc.value.problems
     assert any(p.startswith("chain.deriv_scheme") for p in probs)
     assert any("seed" in p for p in probs)
+
+
+def test_multimode_chain_engine_rejected_with_other_errors():
+    raw = minimal_config()
+    raw["model"]["modes"].append(dict(raw["model"]["modes"][0], omega=1.2))
+    raw["initial"]["alpha0"] = [[1.0, 0.0], [0.8, 0.0]]
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("engine: both") and "single-mode" in p
+               for p in probs)
+    assert any("seed" in p for p in probs)
+    raw["seed"] = 42
+    raw["engine"] = "oracle"
+    assert validate_config(raw).spec.n_modes == 2
+
+
+@pytest.mark.parametrize("t_final, record_every",
+                         [(1.0, 0.4), (1.0, 3.0), (1e-20, 1e308)])
+def test_t_final_must_be_whole_number_of_blocks(t_final, record_every):
+    # 0.4 would end the run at t = 0.8, 3.0 would record only t = 0, and
+    # the last ratio underflows to 0 blocks
+    raw = minimal_config()
+    raw["schedule"] = {"t_final": t_final, "record_every": record_every}
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("schedule.t_final") for p in probs)
+    assert any("seed" in p for p in probs)
+
+
+def test_burn_in_must_be_null_or_positive_integer():
+    raw = minimal_config(chain={"burn_in": "many", "reformat_burn_in": -5})
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("chain.burn_in") for p in probs)
+    assert any(p.startswith("chain.reformat_burn_in") for p in probs)
+    cfg = validate_config(minimal_config(chain={"burn_in": 5000,
+                                                "reformat_burn_in": None}))
+    assert cfg.chain["burn_in"] == 5000
+
+
+def test_non_finite_numbers_rejected():
+    import json
+    text = json.dumps(minimal_config(chain={"eps": float("nan"),
+                                            "step_cap": float("inf")}))
+    text = text.replace('"t_final": 1.0', '"t_final": Infinity')
+    with pytest.raises(ConfigError) as exc:
+        validate_config(text)
+    probs = exc.value.problems
+    for key in ("chain.eps", "chain.step_cap", "schedule.t_final"):
+        assert any(p.startswith(key) for p in probs), key
+    raw = minimal_config()
+    raw["initial"]["atomic"] = [[float("nan"), 0.0], [0.0, 0.0]]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert any(p.startswith("initial.atomic[0]") for p in exc.value.problems)
