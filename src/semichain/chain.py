@@ -20,7 +20,9 @@ dphi/dalpha* is a local least-squares fit along the chain (see
 with more than one mode.
 """
 
+import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -37,7 +39,7 @@ DEFAULT_BATCH_COUNT = 32
 _ZERO_NORM_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainState:
     """Immutable chain snapshot.
 
@@ -47,6 +49,11 @@ class ChainState:
     small and finite differences are taken, across segment boundaries
     they never are. ``lineage`` records how the chain was produced,
     ``n_steps`` counts update cycles applied since sampling.
+
+    A chain returned by ``step`` also carries the update workspace that
+    its next ``step`` reuses; it is not part of the snapshot, so it
+    takes no part in ``==``, ``repr`` or checkpoints, and a chain built
+    any other way starts without one.
     """
 
     time: float
@@ -55,6 +62,7 @@ class ChainState:
     segment_starts: np.ndarray = None
     n_steps: int = 0
     lineage: tuple = ()
+    _workspace: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         alphas = np.array(self.alphas, dtype=complex, order="C", copy=True)
@@ -82,6 +90,14 @@ class ChainState:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "phis", phis)
         object.__setattr__(self, "segment_starts", starts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.time == other.time and self.n_steps == other.n_steps
+                and self.lineage == other.lineage
+                and all(np.array_equal(getattr(self, f), getattr(other, f))
+                        for f in ("segment_starts", "alphas", "phis")))
 
     @property
     def n_points(self) -> int:
@@ -134,6 +150,11 @@ def _phi_tol(phis: np.ndarray) -> np.ndarray:
     return 1e-12 * (1.0 + np.sqrt(_norms2(phis)))
 
 
+def _same_state(phis, k):
+    """Whether the states of points k and k + 1 agree to rounding."""
+    return np.linalg.norm(phis[k + 1] - phis[k], axis=1) <= _phi_tol(phis[k])
+
+
 @dataclass(frozen=True)
 class _Groups:
     """Runs of consecutive duplicates (Metropolis repeats) per segment."""
@@ -158,8 +179,7 @@ def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
     k = np.nonzero(np.max(np.abs(alphas[1:] - alphas[:-1]), axis=1)
                    < delta_min)[0]
     same = np.zeros(n - 1, dtype=bool)
-    same[k] = (np.linalg.norm(phis[k + 1] - phis[k], axis=1)
-               <= _phi_tol(phis[k]))
+    same[k] = _same_state(phis, k)
     new_group = np.ones(n, dtype=bool)
     new_group[1:] = ~same
     new_group[segment_starts] = True
@@ -214,17 +234,160 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     return dphi / dstar
 
 
-# Groups per tile of the derivative kernel: small enough that every
-# temporary stays in cache and is recycled by the allocator instead of
-# being mapped afresh on each call.
-_TILE = 1024
+# Groups per tile of the derivative kernel. A tile costs about 60 ufunc
+# calls whatever its size, so larger tiles spread that overhead over
+# more groups. Measured for ``_derivatives`` at N = 20000: 1024 -> 7-8
+# ms, 2048 -> 4.8-5.7 ms, 4096 -> 3.8-4.9 ms, 8192 -> 5.2 ms; 2048 keeps
+# the tile buffers near 1 MiB of the resident set.
+_TILE = 2048
 # Windows whose 2x2 slope-curvature system cancels by more than this
 # factor (det < p t / _REFIT_CONDITION) lose up to that many ulps in the
 # closed form; they are refitted from their points.
 _REFIT_CONDITION = 1e3
 
 
-def _derivatives(alphas, phis, segment_starts, delta_min, window=2):
+class _Workspace:
+    """Duplicate groups and buffers of one chain's update cycle.
+
+    A chain's first ``step`` builds it, and every chain that ``step``
+    returns carries it on (``ChainState._workspace``). So the group
+    structure, the tiling of the derivative kernel and every full-length
+    temporary are made once per run, not once per rate evaluation.
+    ``_derivatives`` and ``_rates`` write into its buffers and return
+    views of them, which the next use overwrites; one chain must not be
+    stepped from several threads at once.
+
+    ``sync`` keeps the cached groups (``gid`` and ``first`` as in
+    ``_Groups``) equal to what ``_group_structure`` finds on each
+    snapshot. Members of a group that are exact copies get bit-identical
+    rates and stay copies. The partition can change only where two
+    neighbours of different groups come within ``delta_min``, or where
+    members that are not exact copies drift apart; ``sync`` tests those
+    pairs and rebuilds the groups when one changes sides.
+
+    Uses that never overlap share a buffer, to keep the resident set
+    small: the full-length "scratch" holds in turn the rates' products,
+    the pair increments of ``sync`` and the group slopes; "deriv" holds
+    the pair distances of ``sync`` before the derivative itself.
+    """
+
+    def __init__(self, n, d, delta_min, window):
+        self.key = (n, d, delta_min, window)
+        self.segment_starts = None  # no groups yet
+        self._flat = {}
+
+    def array(self, name, shape, dtype=complex):
+        """A C-contiguous array of ``shape`` at the start of the flat
+        buffer ``name``, which grows to fit; arrays of one name share
+        memory."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        flat = self._flat.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self._flat[name] = np.empty(nbytes, np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+    def sync(self, alphas, phis, segment_starts):
+        """Bring the groups up to date with the snapshot ``alphas`` (N, 1)
+        and ``phis`` (N, d)."""
+        if (self.segment_starts is None
+                or not np.array_equal(segment_starts, self.segment_starts)
+                or self._partition_changed(alphas[:, 0], phis)):
+            self._build(alphas, phis, segment_starts)
+
+    def _partition_changed(self, z, phis):
+        pairs = (z.shape[0] - 1,)
+        diff = np.subtract(z[1:], z[:-1], out=self.array("scratch", pairs))
+        close = np.less(np.abs(diff, out=self.array("deriv", pairs, float)),
+                        self.key[2], out=self.array("pair_close", pairs, bool))
+        copies = np.equal(diff, 0.0,
+                          out=self.array("pair_copies", pairs, bool))
+        scratch = self.array("pair_scratch", pairs, bool)
+        for row in phis.T:
+            copies &= np.equal(row[1:], row[:-1], out=scratch)
+        # pairs whose side may have changed: linked ones that are no
+        # longer exact copies, free ones that came within delta_min
+        suspect = np.logical_not(copies, out=copies)
+        suspect &= self.linked
+        suspect |= np.logical_and(self.free, close, out=scratch)
+        if not suspect.any():
+            return False
+        k = np.flatnonzero(suspect)
+        same = close[k] & _same_state(phis, k)
+        return bool(np.any(same != self.linked[k]))
+
+    def _build(self, alphas, phis, segment_starts):
+        _, d, delta_min, window = self.key
+        groups = _group_structure(alphas, phis, segment_starts, delta_min)
+        self.gid, self.first = groups.gid, groups.first
+        n_groups = groups.first.shape[0]
+        gs = np.arange(n_groups)
+        self.lo = np.maximum(groups.group_lo, gs - window)
+        self.hi = np.minimum(groups.group_hi, gs + window)
+        counts = self.hi - self.lo + 1
+        self.counts = counts.astype(complex)
+        self.quadratic = counts >= 3
+        # no pair further apart than the longest segment shares a segment
+        self.window = min(window,
+                          int(np.max(groups.group_hi - groups.group_lo)))
+        self.segment_starts = np.array(segment_starts)
+        # consecutive point pairs: in one group (linked), or in one
+        # segment but different groups (free)
+        self.linked = groups.gid[1:] == groups.gid[:-1]
+        self.free = ~self.linked
+        self.free[self.segment_starts[1:] - 1] = False
+        spans = [(a, min(a + _TILE, n_groups))
+                 for a in range(0, n_groups, _TILE)]
+        exts = [slice(max(a - self.window, 0), min(b + self.window, n_groups))
+                for a, b in spans]
+        sizes = [(e.stop - e.start, b - a) for (a, b), e in zip(spans, exts)]
+        # the largest tile first, so the flat buffers need not grow later
+        scratch = {nm: self._tile_scratch(*nm)
+                   for nm in sorted(set(sizes), reverse=True)}
+        self.tiles = []
+        for (a, b), ext, nm in zip(spans, exts, sizes):
+            seg = groups.seg_of_group[ext]
+            keeps = [seg[s:] == seg[:-s]
+                     for s in range(1, len(scratch[nm].sc) + 1)]
+            self.tiles.append((a, b, self.first[ext], keeps,
+                               slice(a - ext.start, b - ext.start),
+                               scratch[nm]))
+
+    def _tile_scratch(self, n, m):
+        """Buffers of one tile of ``n`` extended and ``m`` core groups;
+        every tile shares the flat buffers, as one tile runs at a time."""
+        d, a = self.key[1], self.array
+        shifts = range(1, min(self.window, n - 1) + 1)
+        k = SimpleNamespace(
+            z=a("z", (n,)), ph=a("ph", (d, n)),
+            sm=a("sm", (5, n)), pm=a("pm", (3, d, n)),
+            # the pair moments share the row stride of the window sums
+            # they are added to, which keeps those additions fast
+            sc=[a("sc", (5, n))[:, :n - s] for s in shifts],
+            pc=[a("pc", (3, d, n))[:, :, :n - s] for s in shifts],
+            dzc=[a("dzc", (n - s,)) for s in shifts],
+            degenerate=a("degenerate", (m,), bool), quad=a("quad", (m,), bool),
+            notquad=a("notquad", (m,), bool), ill=a("ill", (m,), bool))
+        # _window_slope runs once the moments are summed, so its
+        # temporaries fit in the buffers of the tile's inputs and pair
+        # moments
+        k.mean1, k.mean2, k.q, k.c = a("sc", (4, m))
+        k.u, k.w, k.x = a("pc", (3, d, m))
+        k.p, k.t = a("z", (2, m), float)
+        k.pt, k.det = a("ph", (2, m), float)
+        return k
+
+
+def _workspace_for(workspace, n, d, delta_min, window):
+    """``workspace`` if it was built for these sizes and settings, else a
+    new one."""
+    if workspace is not None and workspace.key == (n, d, delta_min, window):
+        return workspace
+    return _Workspace(n, d, delta_min, window)
+
+
+def _derivatives(alphas, phis, segment_starts, delta_min, window=2,
+                 workspace=None):
     """Local least-squares chain derivative dphi/dalpha* of a single-mode
     chain, component-major: shape (d, N) for ``alphas`` (N, 1) and
     ``phis`` (N, d).
@@ -248,34 +411,35 @@ def _derivatives(alphas, phis, segment_starts, delta_min, window=2):
     sides so that its windows are complete. The few windows with a
     nearly coincident pair of points, where the moments cannot resolve
     the curvature to full precision, are refitted by ``_refit_slopes``.
+
+    The groups, tiles and buffers come from ``workspace`` (a new one if
+    it is None or was built for other settings); the result is a view of
+    its buffer.
     """
-    groups = _group_structure(alphas, phis, segment_starts, delta_min)
-    n_groups = groups.first.shape[0]
-    gs = np.arange(n_groups)
-    lo = np.maximum(groups.group_lo, gs - window)
-    hi = np.minimum(groups.group_hi, gs + window)
-    # no pair further apart than the longest segment shares a segment
-    window = min(window, int(np.max(groups.group_hi - groups.group_lo)))
-    slope = np.empty((phis.shape[1], n_groups), dtype=complex)
+    n, d = phis.shape
+    ws = _workspace_for(workspace, n, d, delta_min, window)
+    ws.sync(alphas, phis, segment_starts)
+    lo, hi = ws.lo, ws.hi
+    slope = ws.array("scratch", (d, ws.first.shape[0]))
+    z_all, ph_all = alphas[:, 0], phis.T
     refit = []
-    for a in range(0, n_groups, _TILE):
-        b = min(a + _TILE, n_groups)
-        ext = slice(max(a - window, 0), min(b + window, n_groups))
-        core = slice(a - ext.start, b - ext.start)
-        reps = groups.first[ext]
-        sm, pm = _window_moments(alphas[reps, 0].conj(),
-                                 np.take(phis.T, reps, axis=1),
-                                 groups.seg_of_group[ext], window)
-        slope[:, a:b], degenerate, ill = _window_slope(
-            sm[:, core], pm[:, :, core], hi[a:b] - lo[a:b] + 1, delta_min)
-        _check_collapsed(a + np.nonzero(degenerate)[0], lo, hi, groups.first,
+    for a, b, reps, keeps, core, k in ws.tiles:
+        z = np.take(z_all, reps, out=k.z, mode="clip")
+        np.conjugate(z, out=z)
+        ph = np.take(ph_all, reps, axis=1, out=k.ph, mode="clip")
+        sm, pm = _window_moments(z, ph, keeps, k)
+        degenerate, ill = _window_slope(
+            sm[:, core], pm[:, :, core], ws.counts[a:b], ws.quadratic[a:b],
+            delta_min, slope[:, a:b], k)
+        _check_collapsed(a + np.flatnonzero(degenerate), lo, hi, ws.first,
                          phis)
-        refit.append(a + np.nonzero(ill)[0])
+        refit.append(a + np.flatnonzero(ill))
     gs = np.concatenate(refit)
     if gs.size:
-        slope[:, gs] = _refit_slopes(alphas, phis, groups.first, gs, lo, hi,
-                                     window)
-    return np.take(slope, groups.gid, axis=1)
+        slope[:, gs] = _refit_slopes(alphas, phis, ws.first, gs, lo, hi,
+                                     ws.window)
+    return np.take(slope, ws.gid, axis=1, out=ws.array("deriv", (d, n)),
+                   mode="clip")
 
 
 def _refit_slopes(alphas, phis, reps, gs, lo, hi, window):
@@ -293,30 +457,27 @@ def _refit_slopes(alphas, phis, reps, gs, lo, hi, window):
     return (np.linalg.pinv(design) @ dphi)[:, 1, :].T
 
 
-def _window_moments(z, ph, seg, window):
+def _window_moments(z, ph, keeps, k):
     """Window sums of the increment moments around each group.
 
     Returns the scalar moments (sum D^2, sum |D|^2, sum |D|^4, sum D,
     sum conj(D) D^2) and the state moments (sum conj(D) dphi, sum dphi,
-    sum conj(D)^2 dphi). Each shift s computes the increments of the
-    group pairs (g, g + s) once and adds them to both groups: the
-    reverse pair has D -> -D and dphi -> -dphi, under which the first
-    three scalar moments and the first state moment keep their value
-    and the others flip sign. A pair that straddles a segment boundary
-    gets D = 0, which zeroes every moment but sum dphi; that one is
-    masked.
+    sum conj(D)^2 dphi), in the tile buffers ``k``. Each shift s
+    computes the increments of the group pairs (g, g + s) once and adds
+    them to both groups: the reverse pair has D -> -D and dphi -> -dphi,
+    under which the first three scalar moments and the first state
+    moment keep their value and the others flip sign. A pair that
+    straddles a segment boundary (``keeps[s - 1]`` is False there) gets
+    D = 0, which zeroes every moment but sum dphi; that one is masked.
     """
-    n = z.shape[0]
-    sm = np.zeros((5, n), dtype=complex)
-    pm = np.zeros((3,) + ph.shape, dtype=complex)
-    for s in range(1, min(window, n - 1) + 1):
-        keep = seg[s:] == seg[:-s]
-        sc = np.empty((5, n - s), dtype=complex)
-        pc = np.empty((3, ph.shape[0], n - s), dtype=complex)
+    sm, pm = k.sm, k.pm
+    sm.fill(0.0)
+    pm.fill(0.0)
+    for s, (keep, sc, pc, dzc) in enumerate(zip(keeps, k.sc, k.pc, k.dzc), 1):
         dz, dphi = sc[3], pc[1]
         np.subtract(z[s:], z[:-s], out=dz)
         dz *= keep
-        dzc = dz.conj()
+        np.conjugate(dz, out=dzc)
         np.multiply(dz, dz, out=sc[0])
         np.multiply(dzc, dz, out=sc[1])
         np.multiply(sc[1], sc[1], out=sc[2])
@@ -334,10 +495,13 @@ def _window_moments(z, ph, seg, window):
     return sm, pm
 
 
-def _window_slope(sm, pm, counts, delta_min):
-    """Closed-form slope from window moments, shape (d, groups), with
-    the masks of windows without a usable increment (their slope is 0)
-    and of quadratic windows too ill-conditioned for the closed form.
+def _window_slope(sm, pm, counts, quadratic, delta_min, b, k):
+    """Closed-form slope from window moments, written to ``b`` (d,
+    groups), with the masks of windows without a usable increment (their
+    slope is 0) and of quadratic windows too ill-conditioned for the
+    closed form. ``counts`` (complex) and ``quadratic`` give each
+    window's group count and whether it reaches 3; ``k`` holds the tile
+    buffers.
 
     Eliminating the intercept leaves a Hermitian 2x2 system in slope
     and curvature (its Schur complement); windows of fewer than 3
@@ -346,20 +510,34 @@ def _window_slope(sm, pm, counts, delta_min):
     s2, s11, s22, s1, s12 = sm
     r1, r0, r2 = pm
     s11, s22 = s11.real, s22.real
-    degenerate = s11 < (delta_min ** 2)
+    degenerate = np.less(s11, delta_min ** 2, out=k.degenerate)
     # p b + q c = u, conj(q) b + t c = w
-    mean1 = s1.conj() / counts
-    p = np.where(degenerate, 1.0, s11 - (mean1 * s1).real)
-    u = r1 - mean1 * r0
-    quad = (counts >= 3) & ~degenerate
-    mean2 = s2.conj() / counts
-    q = s12 - mean1 * s2
-    t = s22 - (mean2 * s2).real
-    w = r2 - mean2 * r0
-    det = np.where(quad, p * t - (q * q.conj()).real, 1.0)
-    b = np.where(quad, (t * u - q * w) / det, u / p)
-    b[:, degenerate] = 0.0
-    return b, degenerate, quad & (_REFIT_CONDITION * det < p * t)
+    mean1 = np.conjugate(s1, out=k.mean1)
+    mean1 /= counts
+    p = np.subtract(s11, np.multiply(mean1, s1, out=k.c).real, out=k.p)
+    np.copyto(p, 1.0, where=degenerate)
+    u = np.subtract(r1, np.multiply(mean1, r0, out=k.u), out=k.u)
+    quad = np.logical_not(degenerate, out=k.quad)
+    quad &= quadratic
+    mean2 = np.conjugate(s2, out=k.mean2)
+    mean2 /= counts
+    q = np.subtract(s12, np.multiply(mean1, s2, out=k.q), out=k.q)
+    t = np.subtract(s22, np.multiply(mean2, s2, out=k.c).real, out=k.t)
+    w = np.subtract(r2, np.multiply(mean2, r0, out=k.w), out=k.w)
+    pt = np.multiply(p, t, out=k.pt)
+    qq = np.multiply(q, np.conjugate(q, out=k.c), out=k.c)
+    det = np.subtract(pt, qq.real, out=k.det)
+    np.copyto(det, 1.0, where=np.logical_not(quad, out=k.notquad))
+    np.divide(u, p, out=b)
+    x = np.subtract(np.multiply(t, u, out=k.x), np.multiply(q, w, out=w),
+                    out=k.x)
+    x /= det
+    np.copyto(b, x, where=quad)
+    np.copyto(b, 0.0, where=degenerate)
+    np.multiply(_REFIT_CONDITION, det, out=det)
+    ill = np.less(det, pt, out=k.ill)
+    ill &= quad
+    return degenerate, ill
 
 
 def _check_collapsed(degenerate, lo, hi, reps, phis):
@@ -376,23 +554,41 @@ def _check_collapsed(degenerate, lo, hi, reps, phis):
                 f"the conditional states differ; reformat the chain")
 
 
-def _rates(alphas, phis, segment_starts, spec, t, delta_min, deriv_window=2):
+def _rates(alphas, phis, segment_starts, spec, t, delta_min, deriv_window=2,
+           workspace=None):
     """Time derivatives of (alphas, phis) from a frozen snapshot.
 
     Component-major: ``alphas`` is (1, N), ``phis`` is (d, N), and the
-    rates come back in the same layouts.
+    rates come back in the same layouts, as views of the buffers of
+    ``workspace`` (a new one if it is None or was built for other
+    settings).
     """
-    norms2 = np.sum(phis.real ** 2 + phis.imag ** 2, axis=0)
-    if np.any(norms2 == 0.0):
+    d, n = phis.shape
+    ws = _workspace_for(workspace, n, d, delta_min, deriv_window)
+    tmp = ws.array("scratch", (d, n))
+    norms2 = ws.array("rates_norms2", (n,), float)
+    np.square(phis.real, out=tmp.real)
+    np.square(phis.imag, out=tmp.imag)
+    np.sum(np.add(tmp.real, tmp.imag, out=tmp.real), axis=0, out=norms2)
+    if not norms2.all():
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
     (j,) = rotated_currents(spec, t)
     deriv = _derivatives(alphas.T, phis.T, segment_starts, delta_min,
-                         deriv_window)
-    jphi = j @ phis
-    v = np.sum(phis.conj() * jphi, axis=0) / norms2
-    term = alphas[0].conj() * jphi + j.conj().T @ deriv
-    term -= v.conj() * deriv
-    return (-1j * v)[None], -1j * term
+                         deriv_window, workspace=ws)
+    a_dot = ws.array("rates_alphas", (1, n))
+    v = a_dot[0]
+    jphi = np.matmul(j, phis, out=ws.array("rates_phis", (d, n)))
+    np.sum(np.multiply(np.conjugate(phis, out=tmp), jphi, out=tmp), axis=0,
+           out=v)
+    v /= norms2
+    # term = conj(alpha) j phi + j^dag deriv - conj(v) deriv, in place of
+    # j phi; the last product goes in place of deriv
+    term = np.multiply(np.conjugate(alphas[0], out=tmp[0]), jphi, out=jphi)
+    term += np.matmul(j.conj().T, deriv, out=tmp)
+    term -= np.multiply(np.conjugate(v, out=tmp[0]), deriv, out=deriv)
+    np.multiply(-1j, v, out=v)
+    np.multiply(-1j, term, out=term)
+    return a_dot, term
 
 
 def step(chain: ChainState, spec: ModelSpec, eps: float,
@@ -407,7 +603,9 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     evaluates the rates a second time at a half-step snapshot.
     ``deriv_window`` is the half-width, in duplicate groups, of the
     least-squares window of the chain derivative. The cycle runs on
-    component-major copies of the chain arrays.
+    component-major copies of the chain arrays, in the buffers of the
+    chain's update workspace (``_Workspace``), which the returned chain
+    carries on to its own step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -416,25 +614,36 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     if chain.n_modes != 1:
         raise DimensionMismatch(
             f"the chain update is single-mode; got {chain.n_modes} modes")
-    alphas = np.ascontiguousarray(chain.alphas.T)
-    phis = np.ascontiguousarray(chain.phis.T)
+    n, d = chain.n_points, chain.d
+    ws = _workspace_for(chain._workspace, n, d, delta_min, deriv_window)
+    alphas = chain.alphas.T  # (1, N) and already C-contiguous
+    phis = ws.array("phis", (d, n))
+    np.copyto(phis, chain.phis.T)
     a_dot, p_dot = _rates(alphas, phis, chain.segment_starts, spec,
-                          chain.time, delta_min, deriv_window)
+                          chain.time, delta_min, deriv_window, workspace=ws)
     if integrator == "midpoint":
-        mid_a = alphas + 0.5 * eps * a_dot
-        mid_p = phis + 0.5 * eps * p_dot
-        a_dot, p_dot = _rates(mid_a, mid_p, chain.segment_starts, spec,
-                              chain.time + 0.5 * eps, delta_min, deriv_window)
+        half = 0.5 * eps
+        mid_a = np.multiply(half, a_dot, out=ws.array("mid_alphas", (1, n)))
+        mid_p = np.multiply(half, p_dot, out=ws.array("mid_phis", (d, n)))
+        a_dot, p_dot = _rates(np.add(alphas, mid_a, out=mid_a),
+                              np.add(phis, mid_p, out=mid_p),
+                              chain.segment_starts, spec, chain.time + half,
+                              delta_min, deriv_window, workspace=ws)
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
-    return ChainState(
+    # the updated arrays overwrite the rates; ChainState copies them out
+    np.add(alphas, np.multiply(eps, a_dot, out=a_dot), out=a_dot)
+    np.add(phis, np.multiply(eps, p_dot, out=p_dot), out=p_dot)
+    out = ChainState(
         time=chain.time + eps,
-        alphas=(alphas + eps * a_dot).T,
-        phis=(phis + eps * p_dot).T,
+        alphas=a_dot.T,
+        phis=p_dot.T,
         segment_starts=chain.segment_starts,
         n_steps=chain.n_steps + 1,
         lineage=chain.lineage,
     )
+    object.__setattr__(out, "_workspace", ws)
+    return out
 
 
 def estimate(chain: ChainState, obs: Observable,

@@ -308,6 +308,10 @@ def validate_config(raw) -> RunConfig:
             oracle_cfg[key] = raw_oracle[key]
         else:
             applied[f"oracle.{key}"] = default
+    cutoff = oracle_cfg["cutoff"]
+    if not _positive_int(cutoff) or cutoff < 2:
+        errors.append(f"oracle.cutoff: must be an integer >= 2, got {cutoff!r}")
+    _positive(oracle_cfg, "tail_threshold", "oracle", errors)
 
     if spec is not None and atomic is not None:
         if atomic.shape[0] != spec.d:

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import semichain as sc
-from semichain.chain import ChainState, _derivatives
+import semichain.chain as chain_module
+from semichain.chain import (ChainState, _derivatives, _group_structure,
+                             _Workspace)
+from semichain.checkpoint import save_checkpoint
 from semichain.errors import (DegenerateIncrement, DimensionMismatch,
                               InterpolationDegraded, ZeroNormConditionalState)
 from semichain.observables import Observable, mode_monomial
@@ -301,6 +304,137 @@ def test_step_holomorphy_no_alpha_dependence(jc_spec):
     rel = np.linalg.norm(ch.phis - lam[:, None] * ref, axis=1) \
         / np.linalg.norm(ch.phis, axis=1)
     assert np.median(rel) < 5e-3
+
+
+# -------------------------------------------------------- update workspace
+
+
+def _bits(chain):
+    return chain.alphas.tobytes() + chain.phis.tobytes()
+
+
+def _rebuilt(chain):
+    """The same snapshot without the workspace ``step`` handed on."""
+    return ChainState(time=chain.time, alphas=chain.alphas, phis=chain.phis,
+                      segment_starts=chain.segment_starts,
+                      n_steps=chain.n_steps, lineage=chain.lineage)
+
+
+def _sampled_chain(n=800, seed=53):
+    """A sampled chain with Metropolis repeats in many segments."""
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    ch = sc.initial_chain(phi0, 1, n, 0.45, np.random.default_rng(seed))
+    repeats = np.all(ch.alphas[1:] == ch.alphas[:-1], axis=1)
+    assert repeats.sum() > n // 20 and len(ch.segment_starts) > 10
+    return ch
+
+
+@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+def test_step_workspace_changes_nothing(jc_spec, integrator):
+    # a run that carries the workspace matches, bit for bit, one that
+    # builds a new workspace on every step
+    carried = rebuilt = _sampled_chain()
+    for _ in range(200):
+        carried = sc.step(carried, jc_spec, 1e-2, integrator=integrator)
+        rebuilt = sc.step(_rebuilt(rebuilt), jc_spec, 1e-2,
+                          integrator=integrator)
+        assert _bits(carried) == _bits(rebuilt)
+    assert carried._workspace is not None
+
+
+@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+def test_step_builds_the_groups_once(jc_spec, integrator, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _group_structure(*args)
+
+    monkeypatch.setattr(chain_module, "_group_structure", counting)
+    ch = _sampled_chain(400)
+    for _ in range(50):
+        ch = sc.step(ch, jc_spec, 1e-3, integrator=integrator)
+    assert len(calls) == 1
+
+
+def test_step_groups_stay_valid_when_neighbours_meet(jc_spec):
+    # point 14 moves onto its distinct neighbour 13 in one Euler step: the
+    # state [0.8, 0.6] drifts, the coherent states' [0.6, 0.8] direction
+    # drifts at another velocity
+    alphas, phis, starts = _segmented_chain(60, 1.0)
+    phis[14] = [0.8, 0.6]
+    eps, delta_min = 1e-3, 1e-8
+    vel = [sc.drift_velocity(phis[k], 0.0, jc_spec)[0] for k in (13, 14)]
+    alphas[14] = alphas[13] - eps * (vel[1] - vel[0])
+    ch = ChainState(time=0.0, alphas=alphas, phis=phis, segment_starts=starts)
+    out = sc.step(ch, jc_spec, eps, delta_min=delta_min)
+    assert abs(out.alphas[14, 0] - out.alphas[13, 0]) < delta_min
+    nxt = sc.step(out, jc_spec, eps, delta_min=delta_min)
+    fresh = _group_structure(out.alphas, out.phis, out.segment_starts,
+                             delta_min)
+    ws = nxt._workspace
+    assert np.array_equal(ws.gid, fresh.gid)
+    assert np.array_equal(ws.first, fresh.first)
+    ref = sc.step(_rebuilt(out), jc_spec, eps, delta_min=delta_min)
+    assert _bits(nxt) == _bits(ref)
+
+
+def test_workspace_follows_merges_and_splits():
+    # snapshots fed one after another to one workspace give the groups
+    # and derivative of a new workspace on each, whatever changed
+    alphas, phis, starts = _segmented_chain(90, 1.0)
+    merged_a, merged_p = alphas.copy(), phis.copy()
+    merged_a[14], merged_p[14] = merged_a[13], merged_p[13]
+    split_p = merged_p.copy()
+    split_p[14] *= 1.0 + 1e-6      # same point, the states part
+    near_a, near_p = merged_a.copy(), merged_p.copy()
+    near_a[14] += 1e-12
+    near_p[14] *= 1.0 + 1e-14      # still one group, not an exact copy
+    drift_p = near_p.copy()
+    drift_p[14] *= 1.0 + 1e-6      # the loose pair falls apart
+    snapshots = [(alphas, phis, starts), (merged_a, merged_p, starts),
+                 (merged_a, split_p, starts), (merged_a, merged_p, starts),
+                 (alphas, phis, starts), (near_a, near_p, starts),
+                 (near_a, drift_p, starts), (alphas, phis, starts[::2])]
+    ws = _Workspace(90, 2, 1e-8, 2)
+    for a, p, st in snapshots:
+        d = _derivatives(a, p, st, 1e-8, workspace=ws)
+        assert d.tobytes() == _derivatives(a, p, st, 1e-8).tobytes()
+        fresh = _group_structure(a, p, st, 1e-8)
+        assert np.array_equal(ws.gid, fresh.gid)
+    groups = [len(np.unique(_group_structure(a, p, st, 1e-8).gid))
+              for a, p, st in snapshots]
+    assert groups == [90, 89, 90, 89, 90, 89, 90, 90]
+
+
+def test_derivative_does_not_depend_on_tile_size(monkeypatch):
+    alphas, phis, starts = _segmented_chain(3000, 1.0)
+    reps = np.repeat(np.arange(3000), 1 + np.arange(3000) % 3)
+    alphas, phis = alphas[reps], phis[reps]
+    starts = np.searchsorted(reps, starts)
+    ref = _derivatives(alphas, phis, starts, 1e-8).tobytes()
+    for tile in (7, 100):
+        monkeypatch.setattr(chain_module, "_TILE", tile)
+        assert _derivatives(alphas, phis, starts, 1e-8).tobytes() == ref
+
+
+def test_workspace_is_invisible(jc_spec, tmp_path):
+    ch = _sampled_chain(300)
+    for _ in range(3):
+        ch = sc.step(ch, jc_spec, 1e-3)
+    twin = _rebuilt(ch)
+    assert ch._workspace is not None and twin._workspace is None
+    assert ch == twin and not ch != twin
+    assert repr(ch) == repr(twin)
+    assert ch != sc.step(twin, jc_spec, 1e-3)
+    blobs = []
+    for name, state in (("stepped", ch), ("rebuilt", twin)):
+        path = tmp_path / name
+        save_checkpoint(path, config_resolved={}, rows=[], blocks_done=1,
+                        rng_state=np.random.default_rng(0).bit_generator.state,
+                        chain=state)
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 # ---------------------------------------------------------------- estimate

@@ -205,3 +205,18 @@ def test_non_finite_numbers_rejected():
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     assert any(p.startswith("initial.atomic[0]") for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("cutoff", ["many", -3, 2.5, 1, True])
+def test_bad_oracle_values_rejected_with_other_errors(cutoff):
+    raw = minimal_config(oracle={"cutoff": cutoff,
+                                 "tail_threshold": float("nan")})
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    for key in ("oracle.cutoff", "oracle.tail_threshold", "seed"):
+        assert any(p.startswith(key) for p in probs), key
+    cfg = validate_config(minimal_config(oracle={"cutoff": 2,
+                                                 "tail_threshold": 1.0}))
+    assert cfg.oracle == {"cutoff": 2, "tail_threshold": 1.0}
