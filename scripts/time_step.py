@@ -13,7 +13,7 @@ update cycles and prints, for the stepping alone:
   count the fresh memory each cycle maps;
 - peak RSS of the whole process, sampling included.
 
-Sampling N = 20000 points takes several seconds; it is not timed.
+Sampling N = 20000 points takes about a second; it is not timed.
 Compare two versions of the package by running this script in fresh
 processes, alternating between them, on the same machine.
 """

@@ -726,15 +726,32 @@ def chain_quality(chain: ChainState,
 
 
 def coherent_bargmann(alpha0, atomic):
-    """Entire conditional state of a coherent field times an atomic vector."""
+    """Entire conditional state of a coherent field times an atomic vector.
+
+    The returned phi0 carries ``log_weight``, the closed form of its
+    phase-space weight: e^{-|alpha|^2} ||phi0(alpha*)||^2 is exactly
+    ||atomic||^2 e^{-|alpha - alpha0|^2}, a complex Gaussian around
+    alpha0. The sampler uses it in place of evaluating phi0.
+    """
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     atomic = np.asarray(atomic, dtype=complex)
     offset = -0.5 * float(np.sum(np.abs(alpha0) ** 2))
+    center = alpha0.tolist()
+    norm2 = float(np.real(np.vdot(atomic, atomic)))
+    log_norm2 = math.log(norm2) if norm2 > 0.0 else -math.inf
 
     def phi0(alpha_star):
         alpha_star = np.atleast_1d(np.asarray(alpha_star, dtype=complex))
         return np.exp(np.sum(alpha_star * alpha0) + offset) * atomic
 
+    def log_weight(alpha):
+        dist2 = 0.0
+        for a, c in zip(alpha.tolist(), center):
+            d = a - c
+            dist2 += d.real * d.real + d.imag * d.imag
+        return log_norm2 - dist2
+
+    phi0.log_weight = log_weight
     return phi0
 
 

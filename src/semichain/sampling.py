@@ -29,8 +29,28 @@ the repeat multiplicity the Metropolis measure requires and are handled
 downstream by a neighbor-skip rule, but a segment consisting entirely
 of one duplicated point would have no usable increment at all, so such
 segments are re-walked from the same seed.
+
+A capped proposal is redrawn until every mode moves by at most
+``step_cap``. With many modes and ``seg_sigma_frac`` near 1 that can
+take hundreds of draws; after a million the sampler raises
+SamplerStuck instead of running on.
+
+The walk itself runs on Python scalars: the position is a list of
+complex numbers, and the Gaussian and uniform draws come from numpy in
+blocks of 8192 and are handed out as Python numbers. Every numpy step
+whose rounding Python's would not match (the proposal scale's exp
+factors, the cap test) is still done by numpy, a chunk of draws at a
+time, so a given generator state gives the same chain bit for bit.
+
+For a coherent start the weight needs no evaluation of phi:
+``coherent_bargmann`` attaches the closed form
+log ||atomic||^2 - |alpha - alpha0|^2 as ``phi.log_weight``, and
+``log_weight_from_phi`` returns it. It rounds differently from the
+generic closure (by ~1e-15), so a Metropolis decision could flip only
+if a uniform draw fell that close to its threshold.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +59,9 @@ from .errors import SamplerStuck
 
 _SIGMA_MIN = 1e-4
 _SIGMA_MAX = 20.0
+_BLOCK = 8192              # draws per RNG call
+_CHUNK = 1024              # draws turned into Python numbers at a time
+_MAX_CAP_DRAWS = 1_000_000  # draws one capped proposal may use up
 
 
 @dataclass(frozen=True)
@@ -65,58 +88,95 @@ class SamplerParams:
 
 
 class _BufferedDraws:
-    """Blocked RNG draws so the tight loops avoid per-call overhead."""
+    """Blocked RNG draws, handed out as Python numbers so that the walk
+    runs on scalars.
 
-    def __init__(self, rng, n_modes, block=8192):
+    Each block is one ``standard_normal((8192, 2 * n_modes))`` call and
+    one ``random(8192)`` call, in that order, so the stream does not
+    depend on how the draws are consumed. A block is turned into Python
+    numbers a chunk at a time, which keeps few of them alive at once.
+    """
+
+    def __init__(self, rng, n_modes):
         self.rng = rng
         self.n_modes = n_modes
-        self.block = block
-        self._refill()
+        self._next = _BLOCK
+        self._advance()
 
-    def _refill(self):
-        g = self.rng.standard_normal((self.block, 2 * self.n_modes))
-        self.normals = (g[:, : self.n_modes] + 1j * g[:, self.n_modes:]) / np.sqrt(2.0)
-        self.logu = np.log(self.rng.random(self.block))
+    def _advance(self):
+        """Hand out the next chunk, drawing a new block when needed."""
+        if self._next >= _BLOCK:
+            g = self.rng.standard_normal((_BLOCK, 2 * self.n_modes))
+            self._normals = (g[:, : self.n_modes] + 1j * g[:, self.n_modes:]) / np.sqrt(2.0)
+            self._logu = np.log(self.rng.random(_BLOCK))
+            self._next = 0
+        lo = self._next
+        self._next += _CHUNK
+        self._chunk = self._normals[lo: self._next]
+        self.normals = self._chunk.tolist()
+        self.logu = self._logu[lo: self._next].tolist()
+        self._inside_for = None
         self.pos = 0
 
     def next(self):
-        if self.pos >= self.block:
-            self._refill()
+        if self.pos >= _CHUNK:
+            self._advance()
         i = self.pos
         self.pos += 1
         return self.normals[i], self.logu[i]
 
+    def next_inside(self, sigma, cap):
+        """The next draw whose step ``sigma * normal`` moves every mode by
+        at most ``cap``; the draws skipped on the way are used up.
+
+        The cap test is numpy's ``abs``, taken once per chunk: Python's
+        ``abs`` of a complex can differ from it in the last bits.
+        """
+        for _ in range(_MAX_CAP_DRAWS):
+            if self.pos >= _CHUNK:
+                self._advance()
+            if self._inside_for != (sigma, cap):
+                self._inside = np.all(np.abs(sigma * self._chunk) <= cap,
+                                      axis=1).tolist()
+                self._inside_for = (sigma, cap)
+            i = self.pos
+            self.pos += 1
+            if self._inside[i]:
+                return self.normals[i], self.logu[i]
+        raise SamplerStuck(
+            f"no capped proposal of scale {sigma:g} moved every mode by at "
+            f"most step_cap {cap:g} in {_MAX_CAP_DRAWS} draws; lower "
+            f"seg_sigma_frac or raise step_cap")
+
 
 class _Walker:
-    """Current state of a Metropolis walk on log weights."""
+    """Current state of a Metropolis walk on log weights.
+
+    The position is a list of Python complex numbers, one per mode; the
+    weight is called with it as a 1-D complex array.
+    """
 
     def __init__(self, log_weight, x0, draws):
         self.log_weight = log_weight
-        self.x = np.array(x0, dtype=complex)
-        self.logw = float(log_weight(self.x))
-        if not np.isfinite(self.logw):
+        self.x = list(x0)
+        self.logw = float(log_weight(np.array(self.x)))
+        if not math.isfinite(self.logw):
             raise SamplerStuck("walk started at a zero-weight point")
         self.draws = draws
         self.accepted = 0
-        self.proposed = 0
 
     def step(self, sigma, cap=None):
         """One Metropolis proposal; returns True if accepted.
 
-        With ``cap`` set, proposal components are redrawn until every
-        mode moves by at most the cap (truncated Gaussian, symmetric).
+        With ``cap`` set, proposals are redrawn until every mode moves by
+        at most the cap (truncated Gaussian, symmetric).
         """
-        noise, logu = self.draws.next()
-        dx = sigma * noise
-        if cap is not None:
-            for _ in range(100):
-                if np.all(np.abs(dx) <= cap):
-                    break
-                noise, logu = self.draws.next()
-                dx = sigma * noise
-        y = self.x + dx
-        logw_y = float(self.log_weight(y))
-        self.proposed += 1
+        if cap is None:
+            noise, logu = self.draws.next()
+        else:
+            noise, logu = self.draws.next_inside(sigma, cap)
+        y = [a + sigma * n for a, n in zip(self.x, noise)]
+        logw_y = float(self.log_weight(np.array(y)))
         if logu < logw_y - self.logw:
             self.x = y
             self.logw = logw_y
@@ -126,7 +186,11 @@ class _Walker:
 
 
 def log_weight_from_phi(phi, n_modes):
-    """Default weight: log of e^{-|alpha|^2} ||phi(alpha*)||^2."""
+    """Log of e^{-|alpha|^2} ||phi(alpha*)||^2: ``phi.log_weight`` when
+    phi carries its closed form, otherwise a closure that evaluates phi."""
+    exact = getattr(phi, "log_weight", None)
+    if exact is not None:
+        return exact
 
     def logw(alpha):
         v = phi(np.conj(alpha))
@@ -165,27 +229,31 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
         raise ValueError("a chain needs at least 2 points")
     draws = _BufferedDraws(rng, n_modes)
     x0 = np.zeros(n_modes, dtype=complex) if start is None else np.asarray(start, dtype=complex)
-    walker = _Walker(log_weight, x0, draws)
+    walker = _Walker(log_weight, x0.tolist(), draws)
 
     burn_in = params.burn_in if params.burn_in is not None else 10 * n_points
     burn_in = max(burn_in, 500)
     sigma = params.walk_sigma0
 
-    # Robbins-Monro adaptation of the phase-A proposal scale.
+    # Robbins-Monro adaptation of the phase-A proposal scale. The growth
+    # and shrink factors are numpy's exp, tabulated a chunk at a time:
+    # math.exp rounds some of them differently.
+    window_from = burn_in - min(500, burn_in // 2)
     window_acc = 0
-    window_len = 0
-    for i in range(burn_in):
-        acc = walker.step(sigma)
-        gain = 4.0 / np.sqrt(i + 10.0)
-        sigma = float(np.clip(
-            sigma * np.exp(gain * ((1.0 if acc else 0.0) - params.accept_target)),
-            _SIGMA_MIN, _SIGMA_MAX))
-        if i >= burn_in - min(500, burn_in // 2):
-            window_acc += 1 if acc else 0
-            window_len += 1
-    if window_len and window_acc / window_len < params.accept_floor:
+    for lo in range(0, burn_in, _CHUNK):
+        hi = min(lo + _CHUNK, burn_in)
+        gain = 4.0 / np.sqrt(np.arange(lo, hi) + 10.0)
+        grow = np.exp(gain * (1.0 - params.accept_target)).tolist()
+        shrink = np.exp(gain * (0.0 - params.accept_target)).tolist()
+        for i, up, down in zip(range(lo, hi), grow, shrink):
+            acc = walker.step(sigma)
+            sigma = min(max(sigma * (up if acc else down), _SIGMA_MIN), _SIGMA_MAX)
+            if acc and i >= window_from:
+                window_acc += 1
+    window_rate = window_acc / (burn_in - window_from)
+    if window_rate < params.accept_floor:
         raise SamplerStuck(
-            f"phase-A acceptance {window_acc / window_len:.3f} below floor "
+            f"phase-A acceptance {window_rate:.3f} below floor "
             f"{params.accept_floor} after adaptation")
 
     lengths = _segment_lengths(n_points, params.segment_len)
@@ -196,11 +264,9 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
     for seg_len in lengths:
         # decorrelate, then take the current walk state as the seed
         for _ in range(params.seed_stride):
-            acc = walker.step(sigma)
-        seed = walker.x.copy()
-        seed_logw = walker.logw
-        for attempt in range(params.max_segment_retries):
-            seg = _walk_segment(log_weight, seed, seed_logw, seg_len,
+            walker.step(sigma)
+        for _ in range(params.max_segment_retries):
+            seg = _walk_segment(log_weight, walker.x, walker.logw, seg_len,
                                 seg_sigma, params.step_cap, draws)
             if seg is not None:
                 break
@@ -216,13 +282,10 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
 
 def _walk_segment(log_weight, seed, seed_logw, seg_len, sigma, cap, draws):
     """Short capped walk from a seed; None if every move was rejected."""
-    seg = np.empty((seg_len, seed.shape[0]), dtype=complex)
-    seg[0] = seed
     w = _Walker(log_weight, seed, draws)
     w.logw = seed_logw  # avoid depending on re-evaluation rounding
-    for i in range(1, seg_len):
+    seg = [w.x]
+    for _ in range(1, seg_len):
         w.step(sigma, cap=cap)
-        seg[i] = w.x
-    if w.accepted == 0 and seg_len > 1:
-        return None
-    return seg
+        seg.append(w.x)
+    return seg if w.accepted else None

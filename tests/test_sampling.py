@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semichain as sc
+from semichain import sampling
 from semichain.errors import SamplerStuck
 from semichain.sampling import SamplerParams, log_weight_from_phi, sample_positions
 
@@ -57,6 +58,71 @@ def test_increments_respect_cap():
         seg = alphas[a:b, 0]
         assert np.all(np.abs(np.diff(seg)) <= cap + 1e-12)
         assert b - a >= 2
+
+
+def _within_segment_steps(alphas, starts):
+    """Largest per-mode move between consecutive points of a segment."""
+    edges = np.append(starts, alphas.shape[0])
+    return max(np.abs(np.diff(alphas[a:b], axis=0)).max()
+               for a, b in zip(edges[:-1], edges[1:]))
+
+
+def test_capped_proposals_never_break_the_cap_with_many_modes():
+    # with 12 modes and proposals as wide as the cap, only ~0.4% of
+    # draws fit inside it, so a capped step needs hundreds of redraws
+    cap = 0.3
+    params = SamplerParams(step_cap=cap, segment_len=5, burn_in=500,
+                           seg_sigma_frac=1.0)
+    alphas, starts = sample_positions(_gaussian_weight(0.0), 12, 600, params,
+                                      np.random.default_rng(3))
+    assert alphas.shape == (600, 12)
+    assert _within_segment_steps(alphas, starts) <= cap
+
+
+def test_capped_proposal_draw_limit_raises(monkeypatch):
+    monkeypatch.setattr(sampling, "_MAX_CAP_DRAWS", 20)
+    params = SamplerParams(step_cap=0.3, segment_len=5, burn_in=500,
+                           seg_sigma_frac=1.0)
+    with pytest.raises(SamplerStuck, match="step_cap 0.3.*seg_sigma_frac"):
+        sample_positions(_gaussian_weight(0.0), 12, 600, params,
+                         np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("alpha0, atomic", [
+    ([1.0], [1.0, 0.0]),
+    ([0.5 - 1.2j], [0.6, 0.8j]),
+    ([0.3 + 0.4j, -0.7], [2.0, 1.0 - 1.0j, 0.5]),   # not normalized
+])
+def test_coherent_log_weight_matches_generic(alpha0, atomic):
+    phi0 = sc.coherent_bargmann(alpha0, atomic)
+    exact = log_weight_from_phi(phi0, len(alpha0))
+    assert exact is phi0.log_weight
+    generic = log_weight_from_phi(lambda a: phi0(a), len(alpha0))
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        alpha = 1.5 * (rng.standard_normal(len(alpha0))
+                       + 1j * rng.standard_normal(len(alpha0)))
+        alpha += np.asarray(alpha0)
+        assert exact(alpha) == pytest.approx(generic(alpha), rel=1e-12,
+                                             abs=1e-14)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_coherent_log_weight_samples_the_same_chain(seed):
+    phi0 = sc.coherent_bargmann([0.5 - 1.2j], [1.0, 0.5j])
+    params = SamplerParams(step_cap=0.45)
+    chains = [sample_positions(log_weight_from_phi(phi, 1), 1, 2000, params,
+                               np.random.default_rng(seed))
+              for phi in (phi0, lambda a: phi0(a))]
+    (a1, s1), (a2, s2) = chains
+    assert a1.tobytes() == a2.tobytes()
+    assert np.array_equal(s1, s2)
+
+
+def test_zero_atomic_state_is_a_zero_weight_start():
+    phi0 = sc.coherent_bargmann([1.0], [0.0, 0.0])
+    with pytest.raises(SamplerStuck, match="zero-weight"):
+        sc.initial_chain(phi0, 1, 100, 0.45, np.random.default_rng(1))
 
 
 def test_minimal_two_point_chain():
