@@ -14,17 +14,21 @@ velocity -i <j(t)>, and its state follows the comoving equation
 
 the fixed-point equation of motion plus the transport term generated
 by the point's own motion, which keeps each stored state equal to the
-conditional state at its point's current position. The derivative
-dphi/dalpha* is a local least-squares fit along the chain (see
-``_derivatives``). The update is single-mode; ``step`` rejects chains
-with more than one mode.
+conditional state at its point's current position. Since every stored
+state samples one entire function of alpha*, the derivative
+dphi/dalpha* comes from one least-squares fit over the whole chain:
+K = 8 displaced number states around the cloud's centre, solved by
+Cholesky, with a minimum-norm ``lstsq`` fallback for chains too
+degenerate to factor (see ``_derivatives``). The update is single-mode;
+``step`` rejects chains with more than one mode.
 """
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
+from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpotrf, zpotrs
 from scipy.spatial import cKDTree
 
 from .errors import (DegenerateIncrement, DimensionMismatch,
@@ -46,9 +50,10 @@ class ChainState:
     ``alphas`` has shape (N, M), ``phis`` shape (N, d). The chain is a
     concatenation of contiguous segments (``segment_starts`` holds the
     first index of each); within a segment consecutive increments are
-    small and finite differences are taken, across segment boundaries
-    they never are. ``lineage`` records how the chain was produced,
-    ``n_steps`` counts update cycles applied since sampling.
+    small, and ``chain_derivative`` and ``chain_quality`` take
+    differences there, never across segment boundaries. ``lineage``
+    records how the chain was produced, ``n_steps`` counts update cycles
+    applied since sampling.
 
     A chain returned by ``step`` also carries the update workspace that
     its next ``step`` reuses; it is not part of the snapshot, so it
@@ -162,7 +167,6 @@ class _Groups:
     gid: np.ndarray        # (N,) group id per point
     first: np.ndarray      # (G,) first point index of each group
     last: np.ndarray       # (G,) last point index of each group
-    seg_of_group: np.ndarray  # (G,) segment id per group
     group_lo: np.ndarray   # (G,) first group id of the group's segment
     group_hi: np.ndarray   # (G,) last group id of the group's segment
 
@@ -170,9 +174,9 @@ class _Groups:
 def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
     """Partition the chain into maximal runs of duplicate points.
 
-    Stencils are built on groups rather than raw indices so that every
-    member of a run sees the same difference partners and duplicates
-    keep evolving identically (they are one weighted point).
+    ``chain_derivative`` differences groups rather than raw indices,
+    so every member of a run gets the same partner (they are one
+    weighted point).
     """
     n = alphas.shape[0]
     # the state test only runs where the points coincide
@@ -194,8 +198,8 @@ def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
     group_lo = gid[segment_starts][seg_of_group]
     last_point_of_seg = edges[seg_of_group + 1] - 1
     group_hi = gid[last_point_of_seg]
-    return _Groups(gid=gid, first=first, last=last, seg_of_group=seg_of_group,
-                   group_lo=group_lo, group_hi=group_hi)
+    return _Groups(gid=gid, first=first, last=last, group_lo=group_lo,
+                   group_hi=group_hi)
 
 
 def chain_derivative(chain: ChainState, k: int, n: int,
@@ -234,46 +238,32 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     return dphi / dstar
 
 
-# Groups per tile of the derivative kernel. A tile costs about 60 ufunc
-# calls whatever its size, so larger tiles spread that overhead over
-# more groups. Measured for ``_derivatives`` at N = 20000: 1024 -> 7-8
-# ms, 2048 -> 4.8-5.7 ms, 4096 -> 3.8-4.9 ms, 8192 -> 5.2 ms; 2048 keeps
-# the tile buffers near 1 MiB of the resident set.
-_TILE = 2048
-# Windows whose 2x2 slope-curvature system cancels by more than this
-# factor (det < p t / _REFIT_CONDITION) lose up to that many ulps in the
-# closed form; they are refitted from their points.
-_REFIT_CONDITION = 1e3
+# Terms K of the fitted expansion of the conditional state (see
+# ``_derivatives``).
+_FIT_TERMS = 8
+# A Cholesky pivot that keeps less than this fraction of its column's
+# squared norm means the fit's columns are numerically dependent.
+_PIVOT_FLOOR = 1e-8
+_SQRT = np.sqrt(np.arange(_FIT_TERMS))
 
 
 class _Workspace:
-    """Duplicate groups and buffers of one chain's update cycle.
+    """Buffers of one chain's update cycle, for ``n`` points of dimension
+    ``d``.
 
-    A chain's first ``step`` builds it, and every chain that ``step``
-    returns carries it on (``ChainState._workspace``). So the group
-    structure, the tiling of the derivative kernel and every full-length
-    temporary are made once per run, not once per rate evaluation.
-    ``_derivatives`` and ``_rates`` write into its buffers and return
-    views of them, which the next use overwrites; one chain must not be
-    stepped from several threads at once.
-
-    ``sync`` keeps the cached groups (``gid`` and ``first`` as in
-    ``_Groups``) equal to what ``_group_structure`` finds on each
-    snapshot. Members of a group that are exact copies get bit-identical
-    rates and stay copies. The partition can change only where two
-    neighbours of different groups come within ``delta_min``, or where
-    members that are not exact copies drift apart; ``sync`` tests those
-    pairs and rebuilds the groups when one changes sides.
-
-    Uses that never overlap share a buffer, to keep the resident set
-    small: the full-length "scratch" holds in turn the rates' products,
-    the pair increments of ``sync`` and the group slopes; "deriv" holds
-    the pair distances of ``sync`` before the derivative itself.
+    A chain's first ``step`` makes it, and every chain that ``step``
+    returns carries it on (``ChainState._workspace``), so the full-length
+    temporaries are allocated once per run, not once per rate
+    evaluation. ``_derivatives`` and ``_rates`` write into its buffers
+    and return views of them, which the next use overwrites; one chain
+    must not be stepped from several threads at once. Uses that never
+    overlap share a buffer, to keep the resident set small: "scratch"
+    holds the fit's stacked block, then the products of ``_rates``;
+    "rates_phis" holds the squared states, then j phi.
     """
 
-    def __init__(self, n, d, delta_min, window):
-        self.key = (n, d, delta_min, window)
-        self.segment_starts = None  # no groups yet
+    def __init__(self, n, d):
+        self.key = (n, d)
         self._flat = {}
 
     def array(self, name, shape, dtype=complex):
@@ -287,297 +277,109 @@ class _Workspace:
             flat = self._flat[name] = np.empty(nbytes, np.uint8)
         return flat[:nbytes].view(dtype).reshape(shape)
 
-    def sync(self, alphas, phis, segment_starts):
-        """Bring the groups up to date with the snapshot ``alphas`` (N, 1)
-        and ``phis`` (N, d)."""
-        if (self.segment_starts is None
-                or not np.array_equal(segment_starts, self.segment_starts)
-                or self._partition_changed(alphas[:, 0], phis)):
-            self._build(alphas, phis, segment_starts)
 
-    def _partition_changed(self, z, phis):
-        pairs = (z.shape[0] - 1,)
-        diff = np.subtract(z[1:], z[:-1], out=self.array("scratch", pairs))
-        close = np.less(np.abs(diff, out=self.array("deriv", pairs, float)),
-                        self.key[2], out=self.array("pair_close", pairs, bool))
-        copies = np.equal(diff, 0.0,
-                          out=self.array("pair_copies", pairs, bool))
-        scratch = self.array("pair_scratch", pairs, bool)
-        for row in phis.T:
-            copies &= np.equal(row[1:], row[:-1], out=scratch)
-        # pairs whose side may have changed: linked ones that are no
-        # longer exact copies, free ones that came within delta_min
-        suspect = np.logical_not(copies, out=copies)
-        suspect &= self.linked
-        suspect |= np.logical_and(self.free, close, out=scratch)
-        if not suspect.any():
-            return False
-        k = np.flatnonzero(suspect)
-        same = close[k] & _same_state(phis, k)
-        return bool(np.any(same != self.linked[k]))
-
-    def _build(self, alphas, phis, segment_starts):
-        _, d, delta_min, window = self.key
-        groups = _group_structure(alphas, phis, segment_starts, delta_min)
-        self.gid, self.first = groups.gid, groups.first
-        n_groups = groups.first.shape[0]
-        gs = np.arange(n_groups)
-        self.lo = np.maximum(groups.group_lo, gs - window)
-        self.hi = np.minimum(groups.group_hi, gs + window)
-        counts = self.hi - self.lo + 1
-        self.counts = counts.astype(complex)
-        self.quadratic = counts >= 3
-        # no pair further apart than the longest segment shares a segment
-        self.window = min(window,
-                          int(np.max(groups.group_hi - groups.group_lo)))
-        self.segment_starts = np.array(segment_starts)
-        # consecutive point pairs: in one group (linked), or in one
-        # segment but different groups (free)
-        self.linked = groups.gid[1:] == groups.gid[:-1]
-        self.free = ~self.linked
-        self.free[self.segment_starts[1:] - 1] = False
-        spans = [(a, min(a + _TILE, n_groups))
-                 for a in range(0, n_groups, _TILE)]
-        exts = [slice(max(a - self.window, 0), min(b + self.window, n_groups))
-                for a, b in spans]
-        sizes = [(e.stop - e.start, b - a) for (a, b), e in zip(spans, exts)]
-        # the largest tile first, so the flat buffers need not grow later
-        scratch = {nm: self._tile_scratch(*nm)
-                   for nm in sorted(set(sizes), reverse=True)}
-        self.tiles = []
-        for (a, b), ext, nm in zip(spans, exts, sizes):
-            seg = groups.seg_of_group[ext]
-            keeps = [seg[s:] == seg[:-s]
-                     for s in range(1, len(scratch[nm].sc) + 1)]
-            self.tiles.append((a, b, self.first[ext], keeps,
-                               slice(a - ext.start, b - ext.start),
-                               scratch[nm]))
-
-    def _tile_scratch(self, n, m):
-        """Buffers of one tile of ``n`` extended and ``m`` core groups;
-        every tile shares the flat buffers, as one tile runs at a time."""
-        d, a = self.key[1], self.array
-        shifts = range(1, min(self.window, n - 1) + 1)
-        k = SimpleNamespace(
-            z=a("z", (n,)), ph=a("ph", (d, n)),
-            sm=a("sm", (5, n)), pm=a("pm", (3, d, n)),
-            # the pair moments share the row stride of the window sums
-            # they are added to, which keeps those additions fast
-            sc=[a("sc", (5, n))[:, :n - s] for s in shifts],
-            pc=[a("pc", (3, d, n))[:, :, :n - s] for s in shifts],
-            dzc=[a("dzc", (n - s,)) for s in shifts],
-            degenerate=a("degenerate", (m,), bool), quad=a("quad", (m,), bool),
-            notquad=a("notquad", (m,), bool), ill=a("ill", (m,), bool))
-        # _window_slope runs once the moments are summed, so its
-        # temporaries fit in the buffers of the tile's inputs and pair
-        # moments
-        k.mean1, k.mean2, k.q, k.c = a("sc", (4, m))
-        k.u, k.w, k.x = a("pc", (3, d, m))
-        k.p, k.t = a("z", (2, m), float)
-        k.pt, k.det = a("ph", (2, m), float)
-        return k
-
-
-def _workspace_for(workspace, n, d, delta_min, window):
-    """``workspace`` if it was built for these sizes and settings, else a
-    new one."""
-    if workspace is not None and workspace.key == (n, d, delta_min, window):
+def _workspace_for(workspace, n, d):
+    """``workspace`` if it was made for these sizes, else a new one."""
+    if workspace is not None and workspace.key == (n, d):
         return workspace
-    return _Workspace(n, d, delta_min, window)
+    return _Workspace(n, d)
 
 
-def _derivatives(alphas, phis, segment_starts, delta_min, window=2,
-                 workspace=None):
-    """Local least-squares chain derivative dphi/dalpha* of a single-mode
-    chain, component-major: shape (d, N) for ``alphas`` (N, 1) and
-    ``phis`` (N, d).
+def _derivatives(alphas, phis, workspace=None):
+    """Chain derivative dphi/dalpha* of a single-mode chain,
+    component-major: shape (d, N) for ``alphas`` (N, 1) and ``phis``
+    (N, d).
 
-    Fits a quadratic in D = z_partner - z_center (z = alpha*) to the
-    state increments over the distinct chain points within ``window``
-    duplicate-groups of the center's group (same segment, center
-    included) and returns the linear coefficient. With a single partner
-    this reproduces the two-point quotient exactly; with more it both
-    averages the random first-order error of the quotient (damping the
-    noise self-amplification that strictly one-sided differencing shows
-    over long runs) and absorbs the curvature of phi. Working on
-    duplicate groups keeps Metropolis repeats evolving identically and
-    guarantees the window spans distinct points whenever the segment
-    has any.
+    Every stored state samples one entire function Phi of z = alpha*
+    (Bargmann, Comm. Pure Appl. Math. 14, 1961), so one least-squares
+    fit over all N points gives its derivative everywhere. The fit is in
+    the displaced number-state basis around the cloud's centre (de
+    Oliveira, Kim, Knight & Buzek, Phys. Rev. A 41, 2645, 1990): with c
+    the mean of z, w = z - c and beta = conj(c),
 
-    Every moment is summed directly over the window's increments, never
-    as a difference of whole-chain sums, so no cancellation grows with N
-    or |alpha| (Chan, Golub & LeVeque, Am. Stat. 37, 1983). The groups
-    are fitted in tiles, each extended by ``window`` groups on both
-    sides so that its windows are complete. The few windows with a
-    nearly coincident pair of points, where the moments cannot resolve
-    the curvature to full precision, are refitted by ``_refit_slopes``.
+        Phi(z) ~ e^{beta w} sum_{n<K} c_n w^n / sqrt(n!),  K = _FIT_TERMS,
 
-    The groups, tiles and buffers come from ``workspace`` (a new one if
-    it is None or was built for other settings); the result is a view of
-    its buffer.
+    fitted by plain least squares to y_k = phi_k e^{-beta w_k}, and
+
+        dPhi/dz = e^{beta w} sum_n (beta c_n + sqrt(n+1) c_{n+1}) w^n / sqrt(n!).
+
+    A coherent state is the n = 0 term alone, and the columns are
+    orthonormal under the unit complex Gaussian that a coherent start
+    samples, so the K x K normal equations are well conditioned and are
+    solved by Cholesky. A Metropolis repeat is just a repeated row. If
+    the factorization fails, or a pivot shows numerically dependent
+    columns (fewer than K distinct points, a fully duplicate chain), the
+    same rows are solved by ``np.linalg.lstsq``, whose minimum-norm
+    solution keeps the derivative finite.
+
+    The buffers come from ``workspace`` (a new one if it is None or was
+    made for other sizes); the result is a view of one of them.
     """
     n, d = phis.shape
-    ws = _workspace_for(workspace, n, d, delta_min, window)
-    ws.sync(alphas, phis, segment_starts)
-    lo, hi = ws.lo, ws.hi
-    slope = ws.array("scratch", (d, ws.first.shape[0]))
-    z_all, ph_all = alphas[:, 0], phis.T
-    refit = []
-    for a, b, reps, keeps, core, k in ws.tiles:
-        z = np.take(z_all, reps, out=k.z, mode="clip")
-        np.conjugate(z, out=z)
-        ph = np.take(ph_all, reps, axis=1, out=k.ph, mode="clip")
-        sm, pm = _window_moments(z, ph, keeps, k)
-        degenerate, ill = _window_slope(
-            sm[:, core], pm[:, :, core], ws.counts[a:b], ws.quadratic[a:b],
-            delta_min, slope[:, a:b], k)
-        _check_collapsed(a + np.flatnonzero(degenerate), lo, hi, ws.first,
-                         phis)
-        refit.append(a + np.flatnonzero(ill))
-    gs = np.concatenate(refit)
-    if gs.size:
-        slope[:, gs] = _refit_slopes(alphas, phis, ws.first, gs, lo, hi,
-                                     ws.window)
-    return np.take(slope, ws.gid, axis=1, out=ws.array("deriv", (d, n)),
-                   mode="clip")
+    ws = _workspace_for(workspace, n, d)
+    # rows: the basis w^m / sqrt(m!), then y
+    block = ws.array("scratch", (_FIT_TERMS + d, n))
+    basis, y = block[:_FIT_TERMS], block[_FIT_TERMS:]
+    w = np.conjugate(alphas[:, 0], out=basis[1])
+    center = w.mean()
+    w -= center
+    beta = center.conjugate()
+    basis[0] = 1.0
+    for m in range(2, _FIT_TERMS):
+        np.multiply(basis[m - 1], w, out=basis[m])
+        basis[m] *= 1.0 / _SQRT[m]
+    carrier = ws.array("carrier", (n,))
+    np.exp(np.multiply(beta, w, out=carrier), out=carrier)
+    np.divide(phis.T, carrier, out=y)
+    coef = _fit_coefficients(block, _FIT_TERMS)
+    # coefficients of the derivative in the same basis
+    dcoef = beta * coef
+    dcoef[:-1] += _SQRT[1:, None] * coef[1:]
+    deriv = np.matmul(dcoef.T, basis, out=ws.array("deriv", (d, n)))
+    deriv *= carrier
+    return deriv
 
 
-def _refit_slopes(alphas, phis, reps, gs, lo, hi, window):
-    """Quadratic-fit slopes, shape (d, len(gs)), of the windows around
-    groups ``gs``, from an SVD of each window's design matrix; its error
-    grows with the design's condition number, not with its square."""
-    slots = gs[:, None] + np.arange(-window, window + 1)
-    inside = (slots >= lo[gs, None]) & (slots <= hi[gs, None])
-    pts = reps[np.where(inside, slots, gs[:, None])]
-    centers = reps[gs, None]
-    dz = (alphas[pts, 0] - alphas[centers, 0]).conj()
-    design = np.stack([np.ones_like(dz), dz, dz * dz], axis=2)
-    design *= inside[:, :, None]
-    dphi = phis[pts] - phis[centers]
-    return (np.linalg.pinv(design) @ dphi)[:, 1, :].T
+def _fit_coefficients(block, k):
+    """Least-squares coefficients, shape (k, d), of the rows
+    ``block[k:]`` in the basis rows ``block[:k]``.
 
-
-def _window_moments(z, ph, keeps, k):
-    """Window sums of the increment moments around each group.
-
-    Returns the scalar moments (sum D^2, sum |D|^2, sum |D|^4, sum D,
-    sum conj(D) D^2) and the state moments (sum conj(D) dphi, sum dphi,
-    sum conj(D)^2 dphi), in the tile buffers ``k``. Each shift s
-    computes the increments of the group pairs (g, g + s) once and adds
-    them to both groups: the reverse pair has D -> -D and dphi -> -dphi,
-    under which the first three scalar moments and the first state
-    moment keep their value and the others flip sign. A pair that
-    straddles a segment boundary (``keeps[s - 1]`` is False there) gets
-    D = 0, which zeroes every moment but sum dphi; that one is masked.
+    One Hermitian rank-N update gives the Gram matrix and the right-hand
+    sides together, from the block in place.
     """
-    sm, pm = k.sm, k.pm
-    sm.fill(0.0)
-    pm.fill(0.0)
-    for s, (keep, sc, pc, dzc) in enumerate(zip(keeps, k.sc, k.pc, k.dzc), 1):
-        dz, dphi = sc[3], pc[1]
-        np.subtract(z[s:], z[:-s], out=dz)
-        dz *= keep
-        np.conjugate(dz, out=dzc)
-        np.multiply(dz, dz, out=sc[0])
-        np.multiply(dzc, dz, out=sc[1])
-        np.multiply(sc[1], sc[1], out=sc[2])
-        np.multiply(dzc, sc[0], out=sc[4])
-        np.subtract(ph[:, s:], ph[:, :-s], out=dphi)
-        np.multiply(dzc, dphi, out=pc[0])
-        np.multiply(dzc, pc[0], out=pc[2])
-        dphi *= keep
-        sm[:, :-s] += sc
-        pm[:, :, :-s] += pc
-        sm[:3, s:] += sc[:3]
-        sm[3:, s:] -= sc[3:]
-        pm[0, :, s:] += pc[0]
-        pm[1:, :, s:] -= pc[1:]
-    return sm, pm
+    normal = zherk(1.0, block.T, trans=2)  # upper triangle of conj(B) B^T
+    gram, rhs = normal[:k, :k], normal[:k, k:]
+    factor, info = zpotrf(gram)
+    if info == 0 and np.all(factor.diagonal().real ** 2
+                            > _PIVOT_FLOOR * gram.diagonal().real):
+        coef, _ = zpotrs(factor, rhs)
+        return coef
+    return np.linalg.lstsq(block[:k].T, block[k:].T, rcond=None)[0]
 
 
-def _window_slope(sm, pm, counts, quadratic, delta_min, b, k):
-    """Closed-form slope from window moments, written to ``b`` (d,
-    groups), with the masks of windows without a usable increment (their
-    slope is 0) and of quadratic windows too ill-conditioned for the
-    closed form. ``counts`` (complex) and ``quadratic`` give each
-    window's group count and whether it reaches 3; ``k`` holds the tile
-    buffers.
-
-    Eliminating the intercept leaves a Hermitian 2x2 system in slope
-    and curvature (its Schur complement); windows of fewer than 3
-    groups solve the affine 1x1 one.
-    """
-    s2, s11, s22, s1, s12 = sm
-    r1, r0, r2 = pm
-    s11, s22 = s11.real, s22.real
-    degenerate = np.less(s11, delta_min ** 2, out=k.degenerate)
-    # p b + q c = u, conj(q) b + t c = w
-    mean1 = np.conjugate(s1, out=k.mean1)
-    mean1 /= counts
-    p = np.subtract(s11, np.multiply(mean1, s1, out=k.c).real, out=k.p)
-    np.copyto(p, 1.0, where=degenerate)
-    u = np.subtract(r1, np.multiply(mean1, r0, out=k.u), out=k.u)
-    quad = np.logical_not(degenerate, out=k.quad)
-    quad &= quadratic
-    mean2 = np.conjugate(s2, out=k.mean2)
-    mean2 /= counts
-    q = np.subtract(s12, np.multiply(mean1, s2, out=k.q), out=k.q)
-    t = np.subtract(s22, np.multiply(mean2, s2, out=k.c).real, out=k.t)
-    w = np.subtract(r2, np.multiply(mean2, r0, out=k.w), out=k.w)
-    pt = np.multiply(p, t, out=k.pt)
-    qq = np.multiply(q, np.conjugate(q, out=k.c), out=k.c)
-    det = np.subtract(pt, qq.real, out=k.det)
-    np.copyto(det, 1.0, where=np.logical_not(quad, out=k.notquad))
-    np.divide(u, p, out=b)
-    x = np.subtract(np.multiply(t, u, out=k.x), np.multiply(q, w, out=w),
-                    out=k.x)
-    x /= det
-    np.copyto(b, x, where=quad)
-    np.copyto(b, 0.0, where=degenerate)
-    np.multiply(_REFIT_CONDITION, det, out=det)
-    ill = np.less(det, pt, out=k.ill)
-    ill &= quad
-    return degenerate, ill
-
-
-def _check_collapsed(degenerate, lo, hi, reps, phis):
-    """Raise if a window without a usable increment (``degenerate``
-    lists their group ids) has differing states."""
-    for g in degenerate:
-        center = phis[reps[g]]
-        tol2 = float(_phi_tol(center[None, :])[0]) ** 2
-        members = phis[reps[lo[g]: hi[g] + 1]]
-        moved = float(np.max(np.sum(np.abs(members - center) ** 2, axis=1)))
-        if moved > tol2:
-            raise DegenerateIncrement(
-                f"all increments collapsed around point {int(reps[g])} while "
-                f"the conditional states differ; reformat the chain")
-
-
-def _rates(alphas, phis, segment_starts, spec, t, delta_min, deriv_window=2,
-           workspace=None):
+def _rates(alphas, phis, spec, t, workspace=None):
     """Time derivatives of (alphas, phis) from a frozen snapshot.
 
     Component-major: ``alphas`` is (1, N), ``phis`` is (d, N), and the
     rates come back in the same layouts, as views of the buffers of
-    ``workspace`` (a new one if it is None or was built for other
-    settings).
+    ``workspace`` (a new one if it is None or was made for other sizes).
     """
     d, n = phis.shape
-    ws = _workspace_for(workspace, n, d, delta_min, deriv_window)
-    tmp = ws.array("scratch", (d, n))
+    ws = _workspace_for(workspace, n, d)
     norms2 = ws.array("rates_norms2", (n,), float)
-    np.square(phis.real, out=tmp.real)
-    np.square(phis.imag, out=tmp.imag)
-    np.sum(np.add(tmp.real, tmp.imag, out=tmp.real), axis=0, out=norms2)
+    # the squares of the states go where j phi goes next
+    jphi = ws.array("rates_phis", (d, n))
+    np.square(phis.real, out=jphi.real)
+    np.square(phis.imag, out=jphi.imag)
+    np.sum(np.add(jphi.real, jphi.imag, out=jphi.real), axis=0, out=norms2)
     if not norms2.all():
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
     (j,) = rotated_currents(spec, t)
-    deriv = _derivatives(alphas.T, phis.T, segment_starts, delta_min,
-                         deriv_window, workspace=ws)
+    deriv = _derivatives(alphas.T, phis.T, workspace=ws)
+    tmp = ws.array("scratch", (d, n))  # the fit is done with it
     a_dot = ws.array("rates_alphas", (1, n))
     v = a_dot[0]
-    jphi = np.matmul(j, phis, out=ws.array("rates_phis", (d, n)))
+    np.matmul(j, phis, out=jphi)
     np.sum(np.multiply(np.conjugate(phis, out=tmp), jphi, out=tmp), axis=0,
            out=v)
     v /= norms2
@@ -592,20 +394,16 @@ def _rates(alphas, phis, segment_starts, spec, t, delta_min, deriv_window=2,
 
 
 def step(chain: ChainState, spec: ModelSpec, eps: float,
-         delta_min: float = DEFAULT_DELTA_MIN,
-         integrator: str = "euler",
-         deriv_window: int = 2) -> ChainState:
+         integrator: str = "euler") -> ChainState:
     """One comoving update cycle of length eps on a single-mode chain.
 
     Both the phase-space move and the state update are computed from
     the pre-update snapshot and then committed together, so the cycle
     is order-independent across points. ``integrator='midpoint'``
-    evaluates the rates a second time at a half-step snapshot.
-    ``deriv_window`` is the half-width, in duplicate groups, of the
-    least-squares window of the chain derivative. The cycle runs on
-    component-major copies of the chain arrays, in the buffers of the
-    chain's update workspace (``_Workspace``), which the returned chain
-    carries on to its own step.
+    evaluates the rates a second time at a half-step snapshot. The cycle
+    runs on component-major copies of the chain arrays, in the buffers
+    of the chain's update workspace (``_Workspace``), which the returned
+    chain carries on to its own step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -615,20 +413,18 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
         raise DimensionMismatch(
             f"the chain update is single-mode; got {chain.n_modes} modes")
     n, d = chain.n_points, chain.d
-    ws = _workspace_for(chain._workspace, n, d, delta_min, deriv_window)
+    ws = _workspace_for(chain._workspace, n, d)
     alphas = chain.alphas.T  # (1, N) and already C-contiguous
     phis = ws.array("phis", (d, n))
     np.copyto(phis, chain.phis.T)
-    a_dot, p_dot = _rates(alphas, phis, chain.segment_starts, spec,
-                          chain.time, delta_min, deriv_window, workspace=ws)
+    a_dot, p_dot = _rates(alphas, phis, spec, chain.time, workspace=ws)
     if integrator == "midpoint":
         half = 0.5 * eps
         mid_a = np.multiply(half, a_dot, out=ws.array("mid_alphas", (1, n)))
         mid_p = np.multiply(half, p_dot, out=ws.array("mid_phis", (d, n)))
         a_dot, p_dot = _rates(np.add(alphas, mid_a, out=mid_a),
                               np.add(phis, mid_p, out=mid_p),
-                              chain.segment_starts, spec, chain.time + half,
-                              delta_min, deriv_window, workspace=ws)
+                              spec, chain.time + half, workspace=ws)
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
     # the updated arrays overwrite the rates; ChainState copies them out

@@ -25,7 +25,6 @@ CHAIN_DEFAULTS = {
     "delta_min": 1e-8,
     "burn_in": None,          # None -> 10 * n_points proposals
     "batch_count": 32,
-    "deriv_window": 2,
     "integrator": "euler",
     "reformat": "auto",       # auto | off
     "reformat_burn_in": None,  # None -> 3 * n_points proposals
@@ -284,7 +283,7 @@ def validate_config(raw) -> RunConfig:
     eps = _positive(chain_cfg, "eps", "chain", errors)
     for key in ("step_cap", "delta_min"):
         _positive(chain_cfg, key, "chain", errors)
-    for key in ("n_points", "segment_len", "batch_count", "deriv_window"):
+    for key in ("n_points", "segment_len", "batch_count"):
         if not _positive_int(chain_cfg[key]):
             errors.append(f"chain.{key}: must be a positive integer")
     for key in ("burn_in", "reformat_burn_in"):

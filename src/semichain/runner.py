@@ -132,9 +132,7 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
         if chain_state is not None:
             for _ in range(steps_per_block):
                 chain_state = step(chain_state, config.spec, eps,
-                                   delta_min=c["delta_min"],
-                                   integrator=c["integrator"],
-                                   deriv_window=c["deriv_window"])
+                                   integrator=c["integrator"])
             if auto_reformat:
                 quality = chain_quality(chain_state, c["delta_min"])
                 if quality.needs_reformat(c["step_cap"]):

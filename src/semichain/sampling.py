@@ -153,13 +153,16 @@ class _Walker:
     """Current state of a Metropolis walk on log weights.
 
     The position is a list of Python complex numbers, one per mode; the
-    weight is called with it as a 1-D complex array.
+    weight is called with it as a 1-D complex array. ``logw``, the log
+    weight at ``x0``, is evaluated unless the caller already has it.
     """
 
-    def __init__(self, log_weight, x0, draws):
+    def __init__(self, log_weight, x0, draws, logw=None):
         self.log_weight = log_weight
         self.x = list(x0)
-        self.logw = float(log_weight(np.array(self.x)))
+        if logw is None:
+            logw = log_weight(np.array(self.x))
+        self.logw = float(logw)
         if not math.isfinite(self.logw):
             raise SamplerStuck("walk started at a zero-weight point")
         self.draws = draws
@@ -282,8 +285,7 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
 
 def _walk_segment(log_weight, seed, seed_logw, seg_len, sigma, cap, draws):
     """Short capped walk from a seed; None if every move was rejected."""
-    w = _Walker(log_weight, seed, draws)
-    w.logw = seed_logw  # avoid depending on re-evaluation rounding
+    w = _Walker(log_weight, seed, draws, logw=seed_logw)
     seg = [w.x]
     for _ in range(1, seg_len):
         w.step(sigma, cap=cap)

@@ -60,3 +60,16 @@ def random_fock_state(rng, d=2, cutoff=5, decay=0.4):
     amps *= decay ** np.arange(cutoff + 1)[None, :]
     amps /= np.linalg.norm(amps)
     return sc.FockCompositeState(amplitudes=amps, time=0.0)
+
+
+def bargmann_values(state, z):
+    """The conditional state Phi(z) of a single-mode oracle state at
+    many points z = alpha*, shape (len(z), d): a power basis
+    z^n / sqrt(n!) times the Fock amplitudes (``bargmann_projection``
+    one point at a time)."""
+    z = np.asarray(z, dtype=complex)
+    basis = np.empty((z.shape[0], state.amplitudes.shape[1]), dtype=complex)
+    basis[:, 0] = 1.0
+    for n in range(1, basis.shape[1]):
+        basis[:, n] = basis[:, n - 1] * z / np.sqrt(n)
+    return basis @ state.amplitudes.T

@@ -1,16 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 
 import semichain as sc
-import semichain.chain as chain_module
-from semichain.chain import (ChainState, _derivatives, _group_structure,
-                             _Workspace)
+from semichain.chain import _FIT_TERMS, ChainState, _derivatives
 from semichain.checkpoint import save_checkpoint
 from semichain.errors import (DegenerateIncrement, DimensionMismatch,
                               InterpolationDegraded, ZeroNormConditionalState)
 from semichain.observables import Observable, mode_monomial
 from semichain.oracle import bargmann_projection
 from semichain.sampling import SamplerParams
+
+from conftest import bargmann_values
 
 
 def _walk_chain(phi, n=200, step=0.05, seed=11, d=2, center=0.0,
@@ -150,8 +152,12 @@ def test_derivative_degenerate_increment_raises():
     ch = ChainState(time=0.0, alphas=alphas, phis=phis)
     with pytest.raises(DegenerateIncrement):
         sc.chain_derivative(ch, 0, 0)
-    with pytest.raises(DegenerateIncrement):
-        _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8)
+    # the update's fit cannot factor its normal equations here and falls
+    # back to the minimum-norm least-squares fit
+    d = _derivatives(ch.alphas, ch.phis)
+    assert np.all(np.isfinite(d))
+    assert np.allclose(d, _lstsq_fit_derivative(ch.alphas, ch.phis),
+                       rtol=1e-12, atol=1e-14)
 
 
 def test_derivative_fully_duplicate_chain_is_zero():
@@ -183,7 +189,7 @@ def test_lsq_derivative_beats_quotient_on_curvature():
     expected = beta * np.exp(beta * ch.alphas[:, 0].conj())
     d_pair = np.array([sc.chain_derivative(ch, k, 0)[0]
                        for k in range(ch.n_points)])
-    d_lsq = _derivatives(ch.alphas, ch.phis, ch.segment_starts, 1e-8)[0]
+    d_lsq = _derivatives(ch.alphas, ch.phis)[0]
     err_pair = np.abs(d_pair - expected) / np.abs(expected)
     err_lsq = np.abs(d_lsq - expected) / np.abs(expected)
     assert np.median(err_lsq) < 0.5 * np.median(err_pair)
@@ -340,82 +346,6 @@ def test_step_workspace_changes_nothing(jc_spec, integrator):
                           integrator=integrator)
         assert _bits(carried) == _bits(rebuilt)
     assert carried._workspace is not None
-
-
-@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
-def test_step_builds_the_groups_once(jc_spec, integrator, monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(1)
-        return _group_structure(*args)
-
-    monkeypatch.setattr(chain_module, "_group_structure", counting)
-    ch = _sampled_chain(400)
-    for _ in range(50):
-        ch = sc.step(ch, jc_spec, 1e-3, integrator=integrator)
-    assert len(calls) == 1
-
-
-def test_step_groups_stay_valid_when_neighbours_meet(jc_spec):
-    # point 14 moves onto its distinct neighbour 13 in one Euler step: the
-    # state [0.8, 0.6] drifts, the coherent states' [0.6, 0.8] direction
-    # drifts at another velocity
-    alphas, phis, starts = _segmented_chain(60, 1.0)
-    phis[14] = [0.8, 0.6]
-    eps, delta_min = 1e-3, 1e-8
-    vel = [sc.drift_velocity(phis[k], 0.0, jc_spec)[0] for k in (13, 14)]
-    alphas[14] = alphas[13] - eps * (vel[1] - vel[0])
-    ch = ChainState(time=0.0, alphas=alphas, phis=phis, segment_starts=starts)
-    out = sc.step(ch, jc_spec, eps, delta_min=delta_min)
-    assert abs(out.alphas[14, 0] - out.alphas[13, 0]) < delta_min
-    nxt = sc.step(out, jc_spec, eps, delta_min=delta_min)
-    fresh = _group_structure(out.alphas, out.phis, out.segment_starts,
-                             delta_min)
-    ws = nxt._workspace
-    assert np.array_equal(ws.gid, fresh.gid)
-    assert np.array_equal(ws.first, fresh.first)
-    ref = sc.step(_rebuilt(out), jc_spec, eps, delta_min=delta_min)
-    assert _bits(nxt) == _bits(ref)
-
-
-def test_workspace_follows_merges_and_splits():
-    # snapshots fed one after another to one workspace give the groups
-    # and derivative of a new workspace on each, whatever changed
-    alphas, phis, starts = _segmented_chain(90, 1.0)
-    merged_a, merged_p = alphas.copy(), phis.copy()
-    merged_a[14], merged_p[14] = merged_a[13], merged_p[13]
-    split_p = merged_p.copy()
-    split_p[14] *= 1.0 + 1e-6      # same point, the states part
-    near_a, near_p = merged_a.copy(), merged_p.copy()
-    near_a[14] += 1e-12
-    near_p[14] *= 1.0 + 1e-14      # still one group, not an exact copy
-    drift_p = near_p.copy()
-    drift_p[14] *= 1.0 + 1e-6      # the loose pair falls apart
-    snapshots = [(alphas, phis, starts), (merged_a, merged_p, starts),
-                 (merged_a, split_p, starts), (merged_a, merged_p, starts),
-                 (alphas, phis, starts), (near_a, near_p, starts),
-                 (near_a, drift_p, starts), (alphas, phis, starts[::2])]
-    ws = _Workspace(90, 2, 1e-8, 2)
-    for a, p, st in snapshots:
-        d = _derivatives(a, p, st, 1e-8, workspace=ws)
-        assert d.tobytes() == _derivatives(a, p, st, 1e-8).tobytes()
-        fresh = _group_structure(a, p, st, 1e-8)
-        assert np.array_equal(ws.gid, fresh.gid)
-    groups = [len(np.unique(_group_structure(a, p, st, 1e-8).gid))
-              for a, p, st in snapshots]
-    assert groups == [90, 89, 90, 89, 90, 89, 90, 90]
-
-
-def test_derivative_does_not_depend_on_tile_size(monkeypatch):
-    alphas, phis, starts = _segmented_chain(3000, 1.0)
-    reps = np.repeat(np.arange(3000), 1 + np.arange(3000) % 3)
-    alphas, phis = alphas[reps], phis[reps]
-    starts = np.searchsorted(reps, starts)
-    ref = _derivatives(alphas, phis, starts, 1e-8).tobytes()
-    for tile in (7, 100):
-        monkeypatch.setattr(chain_module, "_TILE", tile)
-        assert _derivatives(alphas, phis, starts, 1e-8).tobytes() == ref
 
 
 def test_workspace_is_invisible(jc_spec, tmp_path):
@@ -610,104 +540,115 @@ def test_reformat_gate_raises_on_corrupt_interpolant():
         sc.reformat(corrupt, params, rng)
 
 
-# ------------------------------------------------------- windowed LSQ kernel
+# ---------------------------------------------------------- derivative fit
 
-def _segmented_chain(n, a0, seg_len=6, step=0.2, seed=3):
-    """Segments of ``seg_len`` points, random seeds around alpha0 and
-    steps of fixed length in random directions; states of
-    coherent_bargmann(a0, [0.6, 0.8]), evaluated in closed form."""
+def _cloud(n, a0, seed=3):
+    """n points of the unit complex Gaussian around a0, shape (n, 1)."""
     rng = np.random.default_rng(seed)
-    n_seg = n // seg_len
-    seeds = a0 + (rng.standard_normal(n_seg)
-                  + 1j * rng.standard_normal(n_seg)) / np.sqrt(2)
-    steps = step * np.exp(2j * np.pi * rng.random((n_seg, seg_len - 1)))
-    walk = np.concatenate([np.zeros((n_seg, 1)), np.cumsum(steps, axis=1)],
-                          axis=1)
-    alphas = (seeds[:, None] + walk).reshape(-1, 1)
-    atomic = np.array([0.6, 0.8])
-    phis = np.exp(a0 * alphas.conj() - 0.5 * a0 * a0) * atomic
-    phi0 = sc.coherent_bargmann([a0], atomic)
-    for k in (0, n_seg * seg_len - 1):
-        assert np.allclose(phis[k], phi0(alphas[k].conj()), rtol=1e-13)
-    return alphas, phis, np.arange(0, n_seg * seg_len, seg_len)
+    return (a0 + (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            / np.sqrt(2))[:, None]
 
 
-def _lstsq_slopes(alphas, phis, starts, ks, window=2):
-    """Reference: one np.linalg.lstsq per window, on a chain without
-    duplicates (every point is its own group)."""
-    edges = np.append(starts, alphas.shape[0])
-    seg = np.searchsorted(starts, ks, side="right") - 1
-    out = []
-    for k, g in zip(ks, seg):
-        idx = np.arange(max(edges[g], k - window),
-                        min(edges[g + 1] - 1, k + window) + 1)
-        dz = (alphas[idx, 0] - alphas[k, 0]).conj()
-        cols = 3 if idx.size >= 3 else 2
-        design = np.stack([dz ** p for p in range(cols)], axis=1)
-        out.append(np.linalg.lstsq(design, phis[idx] - phis[k], rcond=None)[0][1])
-    return np.array(out)
+def _in_class(alphas, seed=1):
+    """States e^{beta z} q(z) of the fitted class at z = alpha*, with
+    beta the conjugate of the chain's mean z and q a random polynomial of
+    degree K - 1, and their exact derivatives d/dz; both (N, 2)."""
+    z = alphas[:, 0].conj()
+    center = z.mean()
+    w = z - center
+    beta = np.conj(center)
+    rng = np.random.default_rng(seed)
+    b = (rng.standard_normal((_FIT_TERMS, 2))
+         + 1j * rng.standard_normal((_FIT_TERMS, 2)))
+    q = sum(b[m] * w[:, None] ** m for m in range(_FIT_TERMS))
+    dq = sum(m * b[m] * w[:, None] ** (m - 1) for m in range(1, _FIT_TERMS))
+    carrier = np.exp(beta * z)[:, None]
+    return carrier * q, carrier * (beta * q + dq)
+
+
+def _lstsq_fit_derivative(alphas, phis):
+    """Reference: the fit of ``_derivatives`` solved by
+    np.linalg.lstsq, shape (d, N)."""
+    z = alphas[:, 0].conj()
+    center = z.mean()
+    w = z - center
+    beta = np.conj(center)
+    norms = np.sqrt([math.factorial(m) for m in range(_FIT_TERMS)])
+    basis = w[:, None] ** np.arange(_FIT_TERMS) / norms
+    carrier = np.exp(beta * w)[:, None]
+    coef = np.linalg.lstsq(basis, phis / carrier, rcond=None)[0]
+    dcoef = beta * coef
+    dcoef[:-1] += np.sqrt(np.arange(1, _FIT_TERMS))[:, None] * coef[1:]
+    return (carrier * (basis @ dcoef)).T
 
 
 def _rel_err(got, ref):
     return np.linalg.norm(got - ref, axis=1) / np.linalg.norm(ref, axis=1)
 
 
-def test_lsq_matches_windowed_lstsq_on_large_chain():
-    # whole-chain moment sums cancel catastrophically here (relative slope
-    # errors up to 1e5); windowed moments must not
-    alphas, phis, starts = _segmented_chain(200_000, 6.0)
-    d = _derivatives(alphas, phis, starts, 1e-8).T
-    ks = np.random.default_rng(7).choice(alphas.shape[0], 2500, replace=False)
-    assert np.max(_rel_err(d[ks], _lstsq_slopes(alphas, phis, starts, ks))) <= 1e-10
+@pytest.mark.parametrize("n, a0, near_pair", [
+    (200_000, 6.0, False), (2000, 1.0, False), (20_000, 3 - 2j, False),
+    (2000, 1.0, True)])
+def test_fit_is_exact_on_its_class(n, a0, near_pair):
+    # at N = 2e5 and |alpha| = 6 whole-chain moment sums used to cancel;
+    # a pair of points 1e-6 apart is just two close rows of the fit
+    alphas = _cloud(n, a0)
+    if near_pair:
+        alphas[1] = alphas[0] + 1e-6j
+    phis, exact = _in_class(alphas)
+    d = _derivatives(alphas, phis).T
+    assert np.max(_rel_err(d, exact)) <= 1e-10
 
 
-@pytest.mark.parametrize("window", [1, 3])
-def test_lsq_window_sizes(window):
-    alphas, phis, starts = _segmented_chain(3000, 1.0, seg_len=9)
-    ks = np.arange(alphas.shape[0])
-    d = _derivatives(alphas, phis, starts, 1e-8, window).T
-    ref = _lstsq_slopes(alphas, phis, starts, ks, window)
-    assert np.max(_rel_err(d, ref)) <= 1e-10
-    # a quadratic map is in the fitted class: its slope is exact wherever
-    # the window holds 3 points
-    b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
-    z = alphas[:, 0].conj()
-    quad = (1.0 + b * z + c * z * z)[:, None] * v
-    d = _derivatives(alphas, quad, starts, 1e-8, window).T
-    pos = np.arange(alphas.shape[0]) % 9
-    full = np.minimum(pos + window, 8) - np.maximum(pos - window, 0) >= 2
-    assert np.allclose(d[full], (b + 2.0 * c * z[full])[:, None] * v,
-                       rtol=0, atol=1e-10)
+def test_fit_gives_a_repeated_row_its_originals_derivative():
+    # Metropolis repeats are repeated rows: no grouping is needed
+    reps = np.repeat(np.arange(500), 1 + np.arange(500) % 3)
+    alphas = _cloud(500, 1.0)[reps]
+    phis, exact = _in_class(alphas)
+    d = _derivatives(alphas, phis).T
+    first = np.searchsorted(reps, reps)
+    assert np.array_equal(d, d[first])
+    assert np.max(_rel_err(d, exact)) <= 1e-10
 
 
-def test_lsq_duplicate_runs_share_the_distinct_point_fit():
-    alphas, phis, starts = _segmented_chain(600, 1.0)
-    reps = np.repeat(np.arange(alphas.shape[0]), 1 + np.arange(alphas.shape[0]) % 3)
-    dup_starts = np.searchsorted(reps, starts)
-    d = _derivatives(alphas[reps], phis[reps], dup_starts, 1e-8)
-    ref = _derivatives(alphas, phis, starts, 1e-8)
-    assert np.array_equal(d, ref[:, reps])
-
-
-def test_lsq_two_group_segments_use_the_two_point_quotient():
-    # a segment of three points whose first two repeat, and one of two
-    # points: every window holds two groups
-    alphas = np.array([[0.0], [0.0], [0.1 + 0.05j], [1.0], [1.2 - 0.1j]])
+@pytest.mark.parametrize("case", ["coincident pair", "fully duplicate",
+                                  "five points", "seven points"])
+def test_fit_falls_back_to_lstsq_on_degenerate_chains(case):
+    # fewer distinct points than terms: the Cholesky solve gives way to
+    # the minimum-norm least-squares fit of the same rows. With seven
+    # points the factorization itself succeeds on a rounding-level last
+    # pivot, and only the pivot test catches it
     v = np.array([1.0, 0.3j])
-    phis = np.exp((0.8 + 0.1j) * alphas.conj()) * v
-    starts = np.array([0, 3])
-    ch = ChainState(time=0.0, alphas=alphas, phis=phis, segment_starts=starts)
-    expected = [sc.chain_derivative(ch, k, 0) for k in range(ch.n_points)]
-    d = _derivatives(alphas, phis, starts, 1e-8).T
-    assert np.allclose(d, expected, rtol=1e-13, atol=0)
+    if case == "coincident pair":
+        alphas = np.array([[0.4 - 0.2j], [0.4 - 0.2j]])
+        phis = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
+    elif case == "fully duplicate":
+        alphas = np.full((6, 1), 0.1 + 0.2j)
+        phis = np.tile(v, (6, 1))
+    else:
+        alphas = (np.array([[0.5], [0.7 + 0.1j], [0.2 - 0.3j], [0.9],
+                            [1.1 - 0.1j]]) if case == "five points"
+                  else _cloud(7, 1.0, seed=0))
+        phis = np.exp((0.8 + 0.1j) * alphas.conj()) * v
+    d = _derivatives(alphas, phis)
+    assert np.all(np.isfinite(d))
+    ref = _lstsq_fit_derivative(alphas, phis)
+    assert np.allclose(d, ref, rtol=1e-10, atol=1e-12 * np.max(np.abs(ref)))
 
 
-def test_lsq_resolves_nearly_coincident_points():
-    # a partner 1e-6 from its center makes the window's slope-curvature
-    # system cancel by ~1e10; the slope of a quadratic map stays exact
-    alphas = np.array([[0.5], [0.7 + 0.1j], [0.5 + 1e-6j], [0.9], [1.1 - 0.1j]])
-    b, c, v = 0.7 - 0.2j, 0.3 + 0.4j, np.array([1.0, -0.5j])
-    z = alphas[:, 0].conj()
-    phis = (1.0 + b * z + c * z * z)[:, None] * v
-    d = _derivatives(alphas, phis, np.array([0]), 1e-8).T
-    assert np.allclose(d, (b + 2.0 * c * z)[:, None] * v, rtol=0, atol=1e-8)
+@pytest.mark.parametrize("seed", [3, 5])
+def test_step_keeps_each_state_on_the_oracle(jc_spec, seed):
+    # criterion 1's model at N = 2000, T = 1: every stored state equals
+    # the oracle's conditional state at its point, with no Monte Carlo
+    # noise; the bounds hold the fit's error with a margin
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    ch = sc.initial_chain(phi0, 1, 2000, 0.45, np.random.default_rng(seed),
+                          params=SamplerParams(step_cap=0.45, segment_len=6))
+    for _ in range(1000):
+        ch = sc.step(ch, jc_spec, 1e-3)
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [24],
+                          tail_threshold=1e-8)
+    st = sc.evolve(st, jc_spec, 1.0, tail_threshold=1e-8)
+    err = _rel_err(ch.phis, bargmann_values(st, ch.alphas[:, 0].conj()))
+    assert np.median(err) <= 1e-4
+    assert np.max(err) <= 2e-4

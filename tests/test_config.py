@@ -137,6 +137,17 @@ def test_oracle_dt_rejected_with_other_errors():
     assert any("seed" in p for p in probs)
 
 
+def test_deriv_window_rejected_with_other_errors():
+    raw = minimal_config(chain={"deriv_window": 2})
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("chain.deriv_window") and "unknown option" in p
+               for p in probs)
+    assert any("seed" in p for p in probs)
+
+
 def test_centered_deriv_scheme_rejected_with_other_errors():
     raw = minimal_config(chain={"deriv_scheme": "centered"})
     del raw["seed"]
