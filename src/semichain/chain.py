@@ -23,20 +23,21 @@ degenerate to factor (see ``_derivatives``). The update is single-mode;
 ``step`` rejects chains with more than one mode.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zpotrf, zpotrs
-from scipy.spatial import cKDTree
 
 from .errors import (DegenerateIncrement, DimensionMismatch,
                      InterpolationDegraded, ZeroNormConditionalState)
 from .hilbert import as_operator, as_state
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
-from .sampling import SamplerParams, log_weight_from_phi, sample_positions
+from .sampling import (SamplerParams, log_weight_from_phi, rewalk_segments,
+                       sample_positions)
 
 DEFAULT_DELTA_MIN = 1e-8
 DEFAULT_BATCH_COUNT = 32
@@ -151,55 +152,12 @@ def _cond_exp_batch(phis: np.ndarray, f: np.ndarray, norms2: np.ndarray) -> np.n
     return np.einsum("ki,ki->k", phis.conj(), phis @ f.T) / norms2
 
 
-def _phi_tol(phis: np.ndarray) -> np.ndarray:
-    return 1e-12 * (1.0 + np.sqrt(_norms2(phis)))
-
-
-def _same_state(phis, k):
-    """Whether the states of points k and k + 1 agree to rounding."""
-    return np.linalg.norm(phis[k + 1] - phis[k], axis=1) <= _phi_tol(phis[k])
-
-
-@dataclass(frozen=True)
-class _Groups:
-    """Runs of consecutive duplicates (Metropolis repeats) per segment."""
-
-    gid: np.ndarray        # (N,) group id per point
-    first: np.ndarray      # (G,) first point index of each group
-    last: np.ndarray       # (G,) last point index of each group
-    group_lo: np.ndarray   # (G,) first group id of the group's segment
-    group_hi: np.ndarray   # (G,) last group id of the group's segment
-
-
-def _group_structure(alphas, phis, segment_starts, delta_min) -> _Groups:
-    """Partition the chain into maximal runs of duplicate points.
-
-    ``chain_derivative`` differences groups rather than raw indices,
-    so every member of a run gets the same partner (they are one
-    weighted point).
-    """
-    n = alphas.shape[0]
-    # the state test only runs where the points coincide
-    k = np.nonzero(np.max(np.abs(alphas[1:] - alphas[:-1]), axis=1)
-                   < delta_min)[0]
-    same = np.zeros(n - 1, dtype=bool)
-    same[k] = _same_state(phis, k)
-    new_group = np.ones(n, dtype=bool)
-    new_group[1:] = ~same
-    new_group[segment_starts] = True
-    gid = np.cumsum(new_group) - 1
-    n_groups = gid[-1] + 1
-    first = np.nonzero(new_group)[0]
-    last = np.empty(n_groups, dtype=int)
-    last[:-1] = first[1:] - 1
-    last[-1] = n - 1
-    edges = np.append(segment_starts, n)
-    seg_of_group = np.searchsorted(edges, first, side="right") - 1
-    group_lo = gid[segment_starts][seg_of_group]
-    last_point_of_seg = edges[seg_of_group + 1] - 1
-    group_hi = gid[last_point_of_seg]
-    return _Groups(gid=gid, first=first, last=last, group_lo=group_lo,
-                   group_hi=group_hi)
+def _repeats(alphas, phis, i, delta_min):
+    """Whether point i + 1 repeats point i: the same position and, to
+    rounding, the same state (a Metropolis rejection)."""
+    return bool(np.max(np.abs(alphas[i + 1] - alphas[i])) < delta_min
+                and np.linalg.norm(phis[i + 1] - phis[i])
+                <= 1e-12 * (1.0 + np.linalg.norm(phis[i])))
 
 
 def chain_derivative(chain: ChainState, k: int, n: int,
@@ -208,24 +166,33 @@ def chain_derivative(chain: ChainState, k: int, n: int,
 
     Uses the forward neighbor for interior points and the backward one
     for the last point of a segment (hence of the chain), skipping
-    exact repeats. A vanishing increment with a vanishing state
-    difference yields the zero vector; a vanishing increment with a
-    real state difference means the graph has collapsed and raises
-    DegenerateIncrement.
+    exact repeats: every member of a run of repeats is one weighted
+    point and gets the same partner. A vanishing increment with a
+    vanishing state difference yields the zero vector; a vanishing
+    increment with a real state difference means the graph has
+    collapsed and raises DegenerateIncrement.
     """
     if not 0 <= k < chain.n_points:
         raise IndexError(f"point index {k} out of range")
     if not 0 <= n < chain.n_modes:
         raise IndexError(f"mode index {n} out of range")
     alphas, phis = chain.alphas, chain.phis
-    g = _group_structure(alphas, phis, chain.segment_starts, delta_min)
-    gk = g.gid[k]
-    if gk < g.group_hi[gk]:
-        partner = g.first[gk + 1]
-    elif gk > g.group_lo[gk]:
-        partner = g.last[gk - 1]
-    else:  # the whole segment repeats point k
-        return np.zeros(chain.d, dtype=complex)
+    edges = np.append(chain.segment_starts, chain.n_points)
+    seg = np.searchsorted(edges, k, side="right") - 1
+    seg_first, seg_last = int(edges[seg]), int(edges[seg + 1]) - 1
+    # the run of repeats that holds k, then the point on either side
+    hi = k
+    while hi < seg_last and _repeats(alphas, phis, hi, delta_min):
+        hi += 1
+    if hi < seg_last:
+        partner = hi + 1
+    else:
+        lo = k
+        while lo > seg_first and _repeats(alphas, phis, lo - 1, delta_min):
+            lo -= 1
+        if lo == seg_first:  # the whole segment repeats point k
+            return np.zeros(chain.d, dtype=complex)
+        partner = lo - 1
     ka, kb = min(k, partner), max(k, partner)
     dphi = phis[kb] - phis[ka]
     dstar = np.conj(alphas[kb, n] - alphas[ka, n])
@@ -590,76 +557,128 @@ def standard_suite(d: int, n_modes: int) -> list:
     return obs
 
 
-class BargmannInterpolant:
-    """Locally affine interpolation of the map alpha* -> phi.
+# A median relative misfit of the fit to the stored states above this
+# means the chain no longer samples one entire function well enough to
+# carry its states over (see ``reformat``).
+_FIT_RESIDUAL_LIMIT = 0.1
+_SQRT_FACTORIAL = np.sqrt([math.factorial(m) for m in range(_FIT_TERMS)])
 
-    Fits phi ~ a + sum_n b_n (alpha_n* - query*) by least squares over
-    the nearest stored chain points and evaluates the fit at the query.
-    A plain two-point secant is exact for the same affine class but
-    ill-posed on clustered chains (the two nearest points are usually
-    near-collinear cluster mates, so the fit is unconstrained transverse
-    to them); a handful of neighbors makes the local fit well-posed.
+
+class BargmannInterpolant:
+    """The conditional state of a single-mode chain as one entire
+    function of z = alpha*.
+
+    The fit of ``_derivatives``: with c the mean of z over the chain,
+    w = z - c and beta = conj(c),
+
+        Phi(z) ~ e^{beta w} sum_{n<K} c_n w^n / sqrt(n!),  K = _FIT_TERMS,
+
+    least-squares fitted to the stored states, with the same Cholesky
+    solve and ``lstsq`` fallback. ``residual`` is the median over the
+    chain of ||Phi(alpha_k*) - phi_k|| / ||phi_k||. ``values`` evaluates
+    Phi at many points, ``phi_at`` at one point on Python scalars (Horner
+    over the K terms of each component).
     """
 
-    def __init__(self, alphas: np.ndarray, phis: np.ndarray, neighbors: int = 8):
-        self.alphas = np.asarray(alphas, dtype=complex)
-        self.phis = np.asarray(phis, dtype=complex)
-        pts = np.column_stack([self.alphas.real, self.alphas.imag])
-        self.tree = cKDTree(pts)
-        self._k = min(neighbors, self.alphas.shape[0])
+    def __init__(self, alphas: np.ndarray, phis: np.ndarray):
+        alphas = np.asarray(alphas, dtype=complex)
+        phis = np.asarray(phis, dtype=complex)
+        n, d = phis.shape
+        z = alphas[:, 0].conj()
+        center = z.mean()
+        w = z - center
+        beta = center.conjugate()
+        block = np.empty((_FIT_TERMS + d, n), dtype=complex)
+        block[0] = 1.0
+        for m in range(1, _FIT_TERMS):
+            np.multiply(block[m - 1], w / _SQRT[m], out=block[m])
+        np.divide(phis.T, np.exp(beta * w), out=block[_FIT_TERMS:])
+        coef = _fit_coefficients(block, _FIT_TERMS)
+        # power-series coefficients of each component, highest first
+        self._horner = (coef / _SQRT_FACTORIAL[:, None]).T[:, ::-1].copy()
+        self._rows = self._horner.tolist()
+        self._center, self._beta = complex(center), complex(beta)
+        misfit = np.linalg.norm(self.values(alphas) - phis, axis=1)
+        self.residual = float(np.median(misfit / np.linalg.norm(phis, axis=1)))
+
+    def values(self, alphas):
+        """Phi at every row of ``alphas`` (shape (N, 1)); shape (N, d)."""
+        w = np.conj(alphas[:, 0]) - self._center
+        acc = np.tile(self._horner[:, 0], (w.shape[0], 1))
+        for a in self._horner.T[1:]:
+            acc *= w[:, None]
+            acc += a
+        acc *= np.exp(self._beta * w)[:, None]
+        return acc
 
     def phi_at(self, alpha):
-        """phi interpolated at the point whose coordinates are alpha."""
-        alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-        q = np.concatenate([alpha.real, alpha.imag])
-        _, idx = self.tree.query(q, k=self._k)
-        idx = np.atleast_1d(idx)
-        dstar = (self.alphas[idx] - alpha[None, :]).conj()  # (k, M)
-        design = np.concatenate(
-            [np.ones((idx.shape[0], 1), dtype=complex), dstar], axis=1)
-        gram = design.conj().T @ design
-        m = alpha.shape[0]
-        spread = float(np.sum(np.abs(dstar) ** 2))
-        gram[np.arange(1, m + 1), np.arange(1, m + 1)] += 1e-12 * max(spread, 1.0)
-        coef, *_ = np.linalg.lstsq(gram, design.conj().T @ self.phis[idx],
-                                   rcond=None)
-        return coef[0]
+        """Phi at the point whose coordinates are ``alpha`` (length 1)."""
+        w = alpha.tolist()[0].conjugate() - self._center
+        carrier = cmath.exp(self._beta * w)
+        out = []
+        for row in self._rows:
+            acc = row[0]
+            for a in row[1:]:
+                acc = acc * w + a
+            out.append(carrier * acc)
+        return np.array(out)
 
     def log_weight(self, alpha):
-        v = self.phi_at(alpha)
-        n2 = float(np.real(np.vdot(v, v)))
-        if n2 <= 0.0 or not np.isfinite(n2):
-            return -np.inf
-        return float(-np.sum(np.abs(alpha) ** 2) + np.log(n2))
+        """log of e^{-|alpha|^2} ||Phi(alpha*)||^2."""
+        n2 = 0.0
+        for v in self.phi_at(alpha).tolist():
+            n2 += v.real * v.real + v.imag * v.imag
+        if not 0.0 < n2 < math.inf:
+            return -math.inf
+        a = alpha.tolist()[0]
+        return math.log(n2) - (a.real * a.real + a.imag * a.imag)
 
 
 def reformat(chain: ChainState, params: SamplerParams, rng,
              observables=None, gate_factor: float = 3.0) -> ChainState:
-    """Resample the chain against its current weight to restore uniform
+    """Re-walk the chain against its current weight to restore uniform
     small increments.
 
-    The current map alpha* -> phi is carried over by piecewise-linear
-    interpolation between nearest stored points. Because the interpolant
-    is an uncontrolled approximation, the result is validated: every
+    The conditional state is carried over by the chain's own fit
+    (``BargmannInterpolant``). The chain is split into the segments of
+    ``_segment_lengths(N, params.segment_len)``, which for a chain
+    sampled with the same ``segment_len`` are its own. Each segment
+    keeps its first point as the seed, and phase B of the sampler
+    (``rewalk_segments``) re-walks the rest of it under the fitted weight
+    e^{-|alpha|^2} ||Phi(alpha*)||^2. The seeds are the evolved chain's
+    points, so they are already distributed by that weight, and the
+    capped walk leaves it invariant; within-segment increments are at
+    most ``params.step_cap`` again. Every new point, seeds included,
+    carries the fitted state. Since the seeds are shared, the estimates
+    after reformat are correlated with those before.
+
+    Raises DimensionMismatch for a chain with more than one mode, and
+    InterpolationDegraded, before sampling, when the fit misses the
+    stored states by a median relative residual above
+    ``_FIT_RESIDUAL_LIMIT``. The result is validated too: every
     observable in the suite must agree with the pre-reformat estimate
     within ``gate_factor`` combined standard errors, otherwise
     InterpolationDegraded is raised.
     """
+    if chain.n_modes != 1:
+        raise DimensionMismatch(
+            f"reformat is single-mode; got {chain.n_modes} modes")
     interp = BargmannInterpolant(chain.alphas, chain.phis)
+    if not interp.residual <= _FIT_RESIDUAL_LIMIT:
+        raise InterpolationDegraded(
+            f"the fitted conditional state misses the stored states by a "
+            f"median relative residual of {interp.residual:.3e} (> "
+            f"{_FIT_RESIDUAL_LIMIT:g}); the chain no longer samples one "
+            f"entire function")
     if observables is None:
         observables = standard_suite(chain.d, chain.n_modes)
     before = [estimate(chain, ob) for ob in observables]
 
-    # warm start at the heaviest stored point
-    logw_stored = -np.sum(np.abs(chain.alphas) ** 2, axis=1) \
-        + np.log(_norms2(chain.phis))
-    start = chain.alphas[int(np.argmax(logw_stored))]
-    alphas, seg_starts = sample_positions(interp.log_weight, chain.n_modes,
-                                          chain.n_points, params, rng,
-                                          start=start)
-    phis = np.array([interp.phi_at(a) for a in alphas], dtype=complex)
-    out = ChainState(time=chain.time, alphas=alphas, phis=phis,
-                     segment_starts=seg_starts, n_steps=chain.n_steps,
+    alphas, seg_starts = rewalk_segments(interp.log_weight, chain.alphas,
+                                         params, rng)
+    out = ChainState(time=chain.time, alphas=alphas,
+                     phis=interp.values(alphas), segment_starts=seg_starts,
+                     n_steps=chain.n_steps,
                      lineage=chain.lineage + (f"reformat@t={chain.time:.6g}",))
     after = [estimate(out, ob) for ob in observables]
     for ob, (v0, s0), (v1, s1) in zip(observables, before, after):

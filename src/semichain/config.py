@@ -27,7 +27,6 @@ CHAIN_DEFAULTS = {
     "batch_count": 32,
     "integrator": "euler",
     "reformat": "auto",       # auto | off
-    "reformat_burn_in": None,  # None -> 3 * n_points proposals
 }
 
 ORACLE_DEFAULTS = {
@@ -286,9 +285,9 @@ def validate_config(raw) -> RunConfig:
     for key in ("n_points", "segment_len", "batch_count"):
         if not _positive_int(chain_cfg[key]):
             errors.append(f"chain.{key}: must be a positive integer")
-    for key in ("burn_in", "reformat_burn_in"):
-        if chain_cfg[key] is not None and not _positive_int(chain_cfg[key]):
-            errors.append(f"chain.{key}: must be null or a positive integer")
+    burn_in = chain_cfg["burn_in"]
+    if burn_in is not None and not _positive_int(burn_in):
+        errors.append("chain.burn_in: must be null or a positive integer")
     if chain_cfg["integrator"] not in ("euler", "midpoint"):
         errors.append("chain.integrator: expected euler|midpoint")
     if chain_cfg["reformat"] not in ("auto", "off"):

@@ -61,15 +61,6 @@ def _sampler_params(config: RunConfig) -> SamplerParams:
                          burn_in=c["burn_in"])
 
 
-def _reformat_params(config: RunConfig) -> SamplerParams:
-    c = config.chain
-    burn = c["reformat_burn_in"]
-    if burn is None:
-        burn = 3 * c["n_points"]
-    return SamplerParams(step_cap=c["step_cap"], segment_len=c["segment_len"],
-                         burn_in=burn)
-
-
 def _schedule(config: RunConfig):
     n_blocks = int(round(config.t_final / config.record_every))
     steps_per_block = int(round(config.record_every / config.chain["eps"]))
@@ -141,7 +132,7 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
                          f"{quality.n_degenerate_pairs} degenerate pairs, "
                          f"{quality.n_zero_norm} zero-norm points)")
                     chain_state = reformat(chain_state,
-                                           _reformat_params(config), rng)
+                                           _sampler_params(config), rng)
         if oracle_state is not None:
             oracle_state = evolve(oracle_state, config.spec,
                                   config.record_every,

@@ -24,6 +24,11 @@ and the effective sample size is ~N / segment_len. Derivatives are
 taken within segments only, so the large seed-to-seed jumps at segment
 boundaries never enter a difference quotient.
 
+``rewalk_segments`` runs phase B alone. ``chain.reformat`` uses it on an
+evolved chain: each segment keeps its first point as the seed, which is
+already distributed by the current weight, and the capped walk, which
+leaves that weight invariant, re-walks the rest of the segment.
+
 Metropolis rejections duplicate the previous point. Duplicates carry
 the repeat multiplicity the Metropolis measure requires and are handled
 downstream by a neighbor-skip rule, but a segment consisting entirely
@@ -260,7 +265,6 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
             f"{params.accept_floor} after adaptation")
 
     lengths = _segment_lengths(n_points, params.segment_len)
-    seg_sigma = params.seg_sigma_frac * params.step_cap
     alphas = np.empty((n_points, n_modes), dtype=complex)
     segment_starts = []
     pos = 0
@@ -268,26 +272,49 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
         # decorrelate, then take the current walk state as the seed
         for _ in range(params.seed_stride):
             walker.step(sigma)
-        for _ in range(params.max_segment_retries):
-            seg = _walk_segment(log_weight, walker.x, walker.logw, seg_len,
-                                seg_sigma, params.step_cap, draws)
-            if seg is not None:
-                break
-        else:
-            raise SamplerStuck(
-                f"segment at point {pos} never accepted a move in "
-                f"{params.max_segment_retries} re-walks")
-        alphas[pos: pos + seg_len] = seg
+        alphas[pos: pos + seg_len] = _walk_segment(
+            log_weight, walker.x, walker.logw, seg_len, params, draws, pos)
         segment_starts.append(pos)
         pos += seg_len
     return alphas, np.asarray(segment_starts, dtype=int)
 
 
-def _walk_segment(log_weight, seed, seed_logw, seg_len, sigma, cap, draws):
-    """Short capped walk from a seed; None if every move was rejected."""
-    w = _Walker(log_weight, seed, draws, logw=seed_logw)
-    seg = [w.x]
-    for _ in range(1, seg_len):
-        w.step(sigma, cap=cap)
-        seg.append(w.x)
-    return seg if w.accepted else None
+def rewalk_segments(log_weight, alphas, params: SamplerParams, rng):
+    """Phase B alone, from seeds already distributed by the weight.
+
+    Splits the ``(n_points, n_modes)`` positions ``alphas`` into the
+    segments of ``sample_positions`` (``_segment_lengths``); each segment
+    keeps its first point as its seed and the rest of it is re-walked by
+    the capped walk. Returns ``(alphas, segment_starts)`` like
+    ``sample_positions``, and raises SamplerStuck in the same cases:
+    a seed of zero weight, or a segment that never accepts a move.
+    """
+    n_points, n_modes = alphas.shape
+    lengths = _segment_lengths(n_points, params.segment_len)
+    starts = np.cumsum([0] + lengths[:-1])
+    draws = _BufferedDraws(rng, n_modes)
+    out = np.empty((n_points, n_modes), dtype=complex)
+    for pos, seg_len in zip(starts.tolist(), lengths):
+        seed = alphas[pos]
+        out[pos: pos + seg_len] = _walk_segment(
+            log_weight, seed.tolist(), log_weight(seed), seg_len, params,
+            draws, pos)
+    return out, starts
+
+
+def _walk_segment(log_weight, seed, seed_logw, seg_len, params, draws, pos):
+    """Phase B: a capped walk of ``seg_len`` points from a seed, walked
+    again from the same seed while every move is rejected; ``pos`` is the
+    segment's first index, for the error message."""
+    sigma = params.seg_sigma_frac * params.step_cap
+    for _ in range(params.max_segment_retries):
+        w = _Walker(log_weight, seed, draws, logw=seed_logw)
+        seg = [w.x]
+        for _ in range(1, seg_len):
+            w.step(sigma, cap=params.step_cap)
+            seg.append(w.x)
+        if w.accepted:
+            return seg
+    raise SamplerStuck(
+        f"segment at point {pos} never accepted a move in "
+        f"{params.max_segment_retries} re-walks")

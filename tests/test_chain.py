@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import semichain as sc
-from semichain.chain import _FIT_TERMS, ChainState, _derivatives
+from semichain.chain import (_FIT_RESIDUAL_LIMIT, _FIT_TERMS,
+                             BargmannInterpolant, ChainState, _derivatives)
 from semichain.checkpoint import save_checkpoint
 from semichain.errors import (DegenerateIncrement, DimensionMismatch,
                               InterpolationDegraded, ZeroNormConditionalState)
@@ -538,6 +540,113 @@ def test_reformat_gate_raises_on_corrupt_interpolant():
                          segment_starts=ch.segment_starts)
     with pytest.raises(InterpolationDegraded):
         sc.reformat(corrupt, params, rng)
+
+
+def test_reformat_carries_states_of_the_fitted_class_exactly():
+    # e^{beta z} q(z) with deg q < K is the fit's own class, so the new
+    # points carry the exact states
+    rng = np.random.default_rng(89)
+    phi0 = sc.coherent_bargmann([1.0], [1.0])
+    params = SamplerParams(step_cap=0.45, segment_len=6)
+    ch = sc.initial_chain(phi0, 1, 2000, 0.45, rng, params=params)
+    center = ch.alphas[:, 0].conj().mean()
+    b = (rng.standard_normal((_FIT_TERMS, 2))
+         + 1j * rng.standard_normal((_FIT_TERMS, 2)))
+
+    def phi(alphas):
+        z = alphas[:, 0].conj()
+        w = (z - center)[:, None]
+        return np.exp(np.conj(center) * z)[:, None] * sum(
+            b[m] * w ** m for m in range(_FIT_TERMS))
+
+    chain = ChainState(time=0.0, alphas=ch.alphas, phis=phi(ch.alphas),
+                       segment_starts=ch.segment_starts)
+    # the sampled points follow the coherent weight, not this one
+    out = sc.reformat(chain, params, rng, gate_factor=math.inf)
+    assert not np.array_equal(out.alphas, chain.alphas)
+    assert np.max(_rel_err(out.phis, phi(out.alphas))) <= 1e-10
+    # the walk's scalar weight evaluates the same fit
+    interp = BargmannInterpolant(chain.alphas, chain.phis)
+    some = out.alphas[:50]
+    ref = interp.values(some)
+    assert np.allclose([interp.phi_at(a) for a in some], ref, rtol=1e-13, atol=0)
+    logw = np.log(np.sum(np.abs(ref) ** 2, axis=1)) - np.abs(some[:, 0]) ** 2
+    assert np.allclose([interp.log_weight(a) for a in some], logw,
+                       rtol=1e-13, atol=1e-13)
+
+
+def test_reformat_rejects_two_modes():
+    rng = np.random.default_rng(5)
+    alphas = rng.standard_normal((40, 2)) + 0j
+    ch = ChainState(time=0.0, alphas=alphas, phis=np.ones((40, 2)))
+    with pytest.raises(DimensionMismatch, match="single-mode"):
+        sc.reformat(ch, SamplerParams(), rng)
+
+
+@pytest.mark.parametrize("case", ["noisy", "corrupt"])
+def test_reformat_names_the_fit_residual_above_the_limit(case):
+    # "corrupt" is the chain of the gate test above: it fails the fit,
+    # before any sampling
+    if case == "noisy":
+        rng = np.random.default_rng(97)
+        phi0 = sc.coherent_bargmann([1.0], [0.6, 0.8])
+        params = SamplerParams(step_cap=0.45, segment_len=6)
+        ch = sc.initial_chain(phi0, 1, 1000, 0.45, rng, params=params)
+        noise = (rng.standard_normal(ch.phis.shape)
+                 + 1j * rng.standard_normal(ch.phis.shape))
+        phis = ch.phis + 0.2 * np.linalg.norm(ch.phis, axis=1)[:, None] * noise
+    else:
+        rng = np.random.default_rng(83)
+        phi0 = sc.coherent_bargmann([0.0], [1.0])
+        params = SamplerParams(step_cap=0.3, segment_len=6, burn_in=5000)
+        ch = sc.initial_chain(phi0, 1, 500, 0.3, rng, params=params)
+        phis = ch.phis * np.exp(4.0 * rng.standard_normal((ch.n_points, 1)))
+    bad = ChainState(time=0.0, alphas=ch.alphas, phis=phis,
+                     segment_starts=ch.segment_starts)
+    residual = BargmannInterpolant(bad.alphas, bad.phis).residual
+    assert residual > _FIT_RESIDUAL_LIMIT
+    state = rng.bit_generator.state
+    with pytest.raises(InterpolationDegraded,
+                       match=re.escape(f"residual of {residual:.3e}")):
+        sc.reformat(bad, params, rng)
+    assert rng.bit_generator.state == state
+
+
+def _evolved_chain(spec, seed, n=2000, steps=500):
+    """Criterion 8's chain at desk scale: a coherent start (alpha0 = 1,
+    excited atom) stepped ``steps`` times by 1e-3."""
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    rng = np.random.default_rng(seed)
+    params = SamplerParams(step_cap=0.45, segment_len=6)
+    ch = sc.initial_chain(phi0, 1, n, 0.45, rng, params=params)
+    for _ in range(steps):
+        ch = sc.step(ch, spec, 1e-3)
+    return ch, params, rng
+
+
+def test_reformat_rewalks_each_segment_from_its_seed(jc_spec):
+    ch, params, rng = _evolved_chain(jc_spec, 91, n=1200, steps=200)
+    out = sc.reformat(ch, params, rng)
+    starts = ch.segment_starts
+    assert np.array_equal(out.segment_starts, starts)
+    assert np.array_equal(out.alphas[starts], ch.alphas[starts])
+    within = np.ones(out.n_points - 1, dtype=bool)
+    within[starts[1:] - 1] = False
+    inc = np.abs(np.diff(out.alphas[:, 0]))[within]
+    # the cap is tested on the proposed step; adding it to the point
+    # rounds at the 1e-16 level
+    assert inc.max() <= params.step_cap + 1e-12
+    assert np.mean(inc > 0) > 0.5
+
+
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_reformat_barely_moves_criterion_8_estimates(jc_spec, seed):
+    ch, params, rng = _evolved_chain(jc_spec, seed)
+    out = sc.reformat(ch, params, rng, gate_factor=math.inf)
+    for ob in sc.standard_suite(ch.d, ch.n_modes):
+        v0, s0 = sc.estimate(ch, ob)
+        v1, s1 = sc.estimate(out, ob)
+        assert abs(v1 - v0) < 1.5 * np.hypot(s0, s1)
 
 
 # ---------------------------------------------------------- derivative fit
