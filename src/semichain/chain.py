@@ -494,7 +494,10 @@ def coherent_bargmann(alpha0, atomic):
     The returned phi0 carries ``log_weight``, the closed form of its
     phase-space weight: e^{-|alpha|^2} ||phi0(alpha*)||^2 is exactly
     ||atomic||^2 e^{-|alpha - alpha0|^2}, a complex Gaussian around
-    alpha0. The sampler uses it in place of evaluating phi0.
+    alpha0. The sampler uses it in place of evaluating phi0. It also
+    carries ``values``, phi0(alpha_k*) at every row of an (N, M) array
+    in one numpy pass, equal bit for bit to the per-point calls;
+    ``initial_chain`` uses it to attach the states.
     """
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     atomic = np.asarray(atomic, dtype=complex)
@@ -514,7 +517,12 @@ def coherent_bargmann(alpha0, atomic):
             dist2 += d.real * d.real + d.imag * d.imag
         return log_norm2 - dist2
 
+    def values(alphas):
+        return (np.exp(np.sum(np.conj(alphas) * alpha0, axis=1) + offset)[:, None]
+                * atomic)
+
     phi0.log_weight = log_weight
+    phi0.values = values
     return phi0
 
 
@@ -523,7 +531,8 @@ def initial_chain(phi0, n_modes: int, n_points: int, step_cap: float, rng,
                   start=None, time: float = 0.0,
                   lineage: tuple = ("sampled",)) -> ChainState:
     """Sample a chain from the weight e^{-|alpha|^2} ||phi0(alpha*)||^2
-    and attach phi0 at the sampled points."""
+    and attach phi0 at the sampled points (through ``phi0.values`` when
+    phi0 carries it, otherwise one call per point)."""
     if params is None:
         params = SamplerParams(step_cap=step_cap)
     elif params.step_cap != step_cap:
@@ -531,7 +540,11 @@ def initial_chain(phi0, n_modes: int, n_points: int, step_cap: float, rng,
     logw = log_weight_from_phi(phi0, n_modes)
     alphas, seg_starts = sample_positions(logw, n_modes, n_points, params, rng,
                                           start=start)
-    phis = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
+    values = getattr(phi0, "values", None)
+    if values is not None:
+        phis = values(alphas)
+    else:
+        phis = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
     if phis.ndim != 2:
         raise DimensionMismatch("phi0 must return a fixed-size vector")
     return ChainState(time=time, alphas=alphas, phis=phis,

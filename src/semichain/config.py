@@ -19,13 +19,13 @@ from .observables import Monomial, Observable
 
 CHAIN_DEFAULTS = {
     "n_points": 20000,
-    "eps": 1e-3,
+    "eps": 2.5e-2,
     "step_cap": 0.45,
     "segment_len": 6,
     "delta_min": 1e-8,
     "burn_in": None,          # None -> 10 * n_points proposals
     "batch_count": 32,
-    "integrator": "euler",
+    "integrator": "midpoint",  # step() itself defaults to euler
     "reformat": "auto",       # auto | off
 }
 
@@ -335,8 +335,10 @@ def validate_config(raw) -> RunConfig:
             errors.append("schedule.t_final must be a positive integer "
                           "multiple of schedule.record_every")
         if eps is not None and not _whole_multiple(record_every, eps):
+            origin = " (the default)" if "chain.eps" in applied else ""
             errors.append("schedule.record_every must be a positive integer "
-                          "multiple of chain.eps")
+                          f"multiple of chain.eps = {eps:g}{origin}, got "
+                          f"{record_every:g}")
 
     if errors:
         raise ConfigError(errors)

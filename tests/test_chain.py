@@ -8,6 +8,7 @@ import semichain as sc
 from semichain.chain import (_FIT_RESIDUAL_LIMIT, _FIT_TERMS,
                              BargmannInterpolant, ChainState, _derivatives)
 from semichain.checkpoint import save_checkpoint
+from semichain.config import CHAIN_DEFAULTS
 from semichain.errors import (DegenerateIncrement, DimensionMismatch,
                               InterpolationDegraded, ZeroNormConditionalState)
 from semichain.observables import Observable, mode_monomial
@@ -195,6 +196,27 @@ def test_lsq_derivative_beats_quotient_on_curvature():
     err_pair = np.abs(d_pair - expected) / np.abs(expected)
     err_lsq = np.abs(d_lsq - expected) / np.abs(expected)
     assert np.median(err_lsq) < 0.5 * np.median(err_pair)
+
+
+@pytest.mark.parametrize("alpha0, atomic", [
+    ([1.0], [1.0, 0.0]),
+    ([3 - 2j], [0.6, 0.8j]),
+    ([0.5 + 0.1j], [1.0, 0.0]),
+    ([0.3 + 0.4j, -0.7], [2.0, 1.0 - 1.0j, 0.5]),
+])
+def test_coherent_values_equal_the_per_point_states(alpha0, atomic):
+    phi0 = sc.coherent_bargmann(alpha0, atomic)
+    m = len(alpha0)
+    rng = np.random.default_rng(13)
+    alphas = np.asarray(alpha0) + 1.5 * (rng.standard_normal((20000, m))
+                                         + 1j * rng.standard_normal((20000, m)))
+    loop = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
+    assert np.array_equal(phi0.values(alphas), loop)
+    # initial_chain takes the batch; a generic callable takes the loop
+    chains = [sc.initial_chain(phi, m, 3000, 0.45, np.random.default_rng(7))
+              for phi in (phi0, lambda a: phi0(a))]
+    assert np.array_equal(chains[0].alphas, chains[1].alphas)
+    assert np.array_equal(chains[0].phis, chains[1].phis)
 
 
 # -------------------------------------------------------------------- step
@@ -755,6 +777,25 @@ def test_step_keeps_each_state_on_the_oracle(jc_spec, seed):
                           params=SamplerParams(step_cap=0.45, segment_len=6))
     for _ in range(1000):
         ch = sc.step(ch, jc_spec, 1e-3)
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [24],
+                          tail_threshold=1e-8)
+    st = sc.evolve(st, jc_spec, 1.0, tail_threshold=1e-8)
+    err = _rel_err(ch.phis, bargmann_values(st, ch.alphas[:, 0].conj()))
+    assert np.median(err) <= 1e-4
+    assert np.max(err) <= 2e-4
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_runner_defaults_keep_each_state_on_the_oracle(jc_spec, seed):
+    # the runner's default step and integrator hold every stored state
+    # at least as close to the oracle as the Euler bounds above
+    eps, integrator = CHAIN_DEFAULTS["eps"], CHAIN_DEFAULTS["integrator"]
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    ch = sc.initial_chain(phi0, 1, 2000, 0.45, np.random.default_rng(seed),
+                          params=SamplerParams(step_cap=0.45, segment_len=6))
+    for _ in range(round(1.0 / eps)):
+        ch = sc.step(ch, jc_spec, eps, integrator=integrator)
+    assert ch.time == pytest.approx(1.0)
     st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [24],
                           tail_threshold=1e-8)
     st = sc.evolve(st, jc_spec, 1.0, tail_threshold=1e-8)

@@ -26,7 +26,8 @@ def minimal_config(**overrides):
 
 def test_minimal_config_gets_defaults():
     cfg = validate_config(minimal_config())
-    assert cfg.chain["eps"] == 1e-3
+    assert cfg.chain["eps"] == 2.5e-2
+    assert cfg.chain["integrator"] == "midpoint"
     assert cfg.chain["n_points"] == 20000
     assert cfg.oracle["cutoff"] == 16
     assert cfg.record_every == cfg.t_final
@@ -79,6 +80,26 @@ def test_record_every_must_divide():
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     assert any("multiple" in p for p in exc.value.problems)
+
+
+def test_record_every_off_the_default_eps_names_the_default():
+    raw = minimal_config()
+    raw["schedule"]["record_every"] = 0.01
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("schedule.record_every")
+               and "chain.eps = 0.025 (the default)" in p for p in probs)
+    assert any("seed" in p for p in probs)
+    # a set eps is named without the remark, and one that divides passes
+    raw = minimal_config(chain={"eps": 0.003})
+    raw["schedule"]["record_every"] = 0.01
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert any("chain.eps = 0.003, got 0.01" in p for p in exc.value.problems)
+    raw["chain"]["eps"] = 1e-3
+    assert validate_config(raw).record_every == 0.01
 
 
 def test_unknown_chain_option_rejected():
