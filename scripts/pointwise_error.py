@@ -18,8 +18,8 @@ prints:
   ``sm_astar`` (``batch_count`` 32), and the worst one so far.
 
 The cutoff must hold the evolved state: the oracle raises if its tail
-weight exceeds 1e-8. Sampling uses the default ``step_cap`` 0.45 and
-``segment_len`` 6.
+weight exceeds 1e-8. The coherent start is drawn exactly (iid points of
+its Gaussian weight), split into segments of 6.
 """
 
 import argparse

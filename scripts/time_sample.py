@@ -2,15 +2,21 @@
 
     PYTHONPATH=src python scripts/time_sample.py [--n 20000] [--seed 11]
         [--alpha0 1] [--atomic 1 0] [--step-cap 0.45] [--segment-len 6]
+        [--generic]
 
 Runs ``initial_chain`` on ``coherent_bargmann(alpha0, atomic)`` (one
-mode per ``--alpha0`` value; complex values are written like ``0.5-1.2j``)
-and prints:
+mode per ``--alpha0`` value; complex values are written like ``0.5-1.2j``),
+which draws its points exactly. With ``--generic`` it wraps that phi0 in
+a plain callable that carries the closed-form ``log_weight`` and the
+batched ``values`` but not ``draw``, so that ``initial_chain`` runs the
+Metropolis sampler instead (the path of every phi0 other than a coherent
+start) on the same weight as before exact draws existed. It prints:
 
 - seconds: wall time of ``initial_chain``, sampling and the states at
   the sampled points;
 - proposals: calls of the log-weight that ``log_weight_from_phi``
-  returned (Metropolis proposals, plus one per walk start);
+  returned (Metropolis proposals, plus one per walk start; 0 for an
+  exact draw);
 - peak RSS of the whole process;
 - sha256 of the chain's ``alphas``, ``phis`` and ``segment_starts``
   bytes, so that two versions of the package can be checked to sample
@@ -47,6 +53,8 @@ def main(argv=None):
                     help="atomic vector (need not be normalized)")
     ap.add_argument("--step-cap", type=float, default=0.45)
     ap.add_argument("--segment-len", type=int, default=6)
+    ap.add_argument("--generic", action="store_true",
+                    help="walk the Metropolis sampler instead of drawing")
     args = ap.parse_args(argv)
 
     calls = [0]
@@ -66,6 +74,14 @@ def main(argv=None):
 
     n_modes = len(args.alpha0)
     phi0 = sc.coherent_bargmann(args.alpha0, args.atomic)
+    if args.generic:
+        coherent = phi0
+
+        def phi0(alpha_star):
+            return coherent(alpha_star)
+
+        phi0.log_weight = coherent.log_weight
+        phi0.values = coherent.values
     params = SamplerParams(step_cap=args.step_cap, segment_len=args.segment_len)
     t0 = time.perf_counter()
     chain = sc.initial_chain(phi0, n_modes, args.n, args.step_cap,
@@ -80,7 +96,8 @@ def main(argv=None):
     print(f"N={args.n} seed={args.seed} alpha0={args.alpha0} "
           f"atomic={args.atomic}")
     print(f"seconds {elapsed:.3f}")
-    print(f"proposals {calls[0]} ({1e6 * elapsed / calls[0]:.2f} us each)")
+    per = f" ({1e6 * elapsed / calls[0]:.2f} us each)" if calls[0] else ""
+    print(f"proposals {calls[0]}{per}")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS MiB {usage.ru_maxrss / 1024:.1f}")
     print(f"sha256 {digest.hexdigest()}")

@@ -3,9 +3,9 @@
     PYTHONPATH=src python scripts/time_step.py [--n 20000] [--seed 5]
         [--steps 500] [--integrator euler|midpoint] [--eps 1e-3]
 
-Samples a chain on the resonant two-level model of acceptance
+Draws a chain on the resonant two-level model of acceptance
 criterion 1 (h0 = sz/2, coupling 0.2 sigma-minus, coherent start
-alpha0 = 1, step_cap 0.45, segment_len 6), then applies ``--steps``
+alpha0 = 1, segment_len 6), then applies ``--steps``
 update cycles and prints, for the stepping alone:
 
 - ms/step: wall time per ``step`` call;
@@ -13,7 +13,7 @@ update cycles and prints, for the stepping alone:
   count the fresh memory each cycle maps;
 - peak RSS of the whole process, sampling included.
 
-Sampling N = 20000 points takes about a second; it is not timed.
+Drawing N = 20000 points takes a few milliseconds; it is not timed.
 Compare two versions of the package by running this script in fresh
 processes, alternating between them, on the same machine.
 """

@@ -32,12 +32,13 @@ from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (DegenerateIncrement, DimensionMismatch,
-                     InterpolationDegraded, ZeroNormConditionalState)
+                     InterpolationDegraded, SamplerStuck,
+                     ZeroNormConditionalState)
 from .hilbert import as_operator, as_state
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
-from .sampling import (SamplerParams, log_weight_from_phi, rewalk_segments,
-                       sample_positions)
+from .sampling import (SamplerParams, _complex_normals, _segment_lengths,
+                       log_weight_from_phi, move_lockstep, sample_positions)
 
 DEFAULT_DELTA_MIN = 1e-8
 DEFAULT_BATCH_COUNT = 32
@@ -50,9 +51,11 @@ class ChainState:
 
     ``alphas`` has shape (N, M), ``phis`` shape (N, d). The chain is a
     concatenation of contiguous segments (``segment_starts`` holds the
-    first index of each); within a segment consecutive increments are
-    small, and ``chain_derivative`` and ``chain_quality`` take
-    differences there, never across segment boundaries. ``lineage``
+    first index of each); ``chain_derivative`` and ``chain_quality``
+    take differences within a segment, never across its boundaries. A
+    chain that the Metropolis sampler walked has small increments within
+    each segment; a coherent start's iid cloud keeps the same split,
+    with no small increments, and the update reads neither. ``lineage``
     records how the chain was produced, ``n_steps`` counts update cycles
     applied since sampling.
 
@@ -460,7 +463,9 @@ class ChainQuality:
 
 def chain_quality(chain: ChainState,
                   delta_min: float = DEFAULT_DELTA_MIN) -> ChainQuality:
-    """Increment metrics used to decide when reformatting is due."""
+    """Within-segment increment statistics and degeneracy flags. They
+    describe a chain the Metropolis sampler walked; an iid cloud has no
+    small increments to report on."""
     alphas, phis = chain.alphas, chain.phis
     # consecutive pairs, minus those that straddle a segment start
     within = np.ones(chain.n_points - 1, dtype=bool)
@@ -491,13 +496,20 @@ def chain_quality(chain: ChainState,
 def coherent_bargmann(alpha0, atomic):
     """Entire conditional state of a coherent field times an atomic vector.
 
-    The returned phi0 carries ``log_weight``, the closed form of its
-    phase-space weight: e^{-|alpha|^2} ||phi0(alpha*)||^2 is exactly
+    Its phase-space weight e^{-|alpha|^2} ||phi0(alpha*)||^2 is exactly
     ||atomic||^2 e^{-|alpha - alpha0|^2}, a complex Gaussian around
-    alpha0. The sampler uses it in place of evaluating phi0. It also
-    carries ``values``, phi0(alpha_k*) at every row of an (N, M) array
-    in one numpy pass, equal bit for bit to the per-point calls;
-    ``initial_chain`` uses it to attach the states.
+    alpha0. The returned phi0 carries:
+
+    - ``draw(rng, n)``: n iid points of that weight, shape (n, M),
+      alpha0 + (g1 + i g2) / sqrt(2) per mode from one
+      ``rng.standard_normal((n, 2 M))`` call; it raises SamplerStuck,
+      before drawing, when the atomic vector is zero (zero weight);
+    - ``values(alphas)``: phi0(alpha_k*) at every row of an (N, M) array
+      in one numpy pass, equal bit for bit to the per-point calls;
+    - ``log_weight(alpha)``: the closed form of the log weight at one
+      point, for the Metropolis sampler.
+
+    ``initial_chain`` uses ``draw`` and ``values``.
     """
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     atomic = np.asarray(atomic, dtype=complex)
@@ -521,8 +533,14 @@ def coherent_bargmann(alpha0, atomic):
         return (np.exp(np.sum(np.conj(alphas) * alpha0, axis=1) + offset)[:, None]
                 * atomic)
 
+    def draw(rng, n):
+        if not norm2 > 0.0:
+            raise SamplerStuck("zero-weight start: the atomic state is zero")
+        return alpha0 + _complex_normals(rng, n, alpha0.shape[0])
+
     phi0.log_weight = log_weight
     phi0.values = values
+    phi0.draw = draw
     return phi0
 
 
@@ -531,15 +549,36 @@ def initial_chain(phi0, n_modes: int, n_points: int, step_cap: float, rng,
                   start=None, time: float = 0.0,
                   lineage: tuple = ("sampled",)) -> ChainState:
     """Sample a chain from the weight e^{-|alpha|^2} ||phi0(alpha*)||^2
-    and attach phi0 at the sampled points (through ``phi0.values`` when
-    phi0 carries it, otherwise one call per point)."""
+    and attach phi0 at the sampled points.
+
+    A phi0 that carries ``draw`` (a coherent start, ``coherent_bargmann``)
+    is sampled exactly: its ``n_points`` points are iid, from one draw,
+    and are split into the segments of ``params.segment_len``. No
+    Metropolis walk runs, so ``start``, the burn-in and the step cap
+    play no part, and no point repeats another. Any other phi0 callable
+    is sampled by the Metropolis sampler (``sample_positions``), which
+    walks from ``start`` (the origin if None). The states come from
+    ``phi0.values`` when phi0 carries it, otherwise from one call per
+    point.
+    """
     if params is None:
         params = SamplerParams(step_cap=step_cap)
     elif params.step_cap != step_cap:
         raise ValueError("params.step_cap disagrees with step_cap")
-    logw = log_weight_from_phi(phi0, n_modes)
-    alphas, seg_starts = sample_positions(logw, n_modes, n_points, params, rng,
-                                          start=start)
+    draw = getattr(phi0, "draw", None)
+    if draw is not None:
+        if n_points < 2:
+            raise ValueError("a chain needs at least 2 points")
+        alphas = draw(rng, n_points)
+        if alphas.shape[1] != n_modes:
+            raise DimensionMismatch(
+                f"phi0 has {alphas.shape[1]} modes, n_modes is {n_modes}")
+        seg_starts = np.cumsum(
+            [0] + _segment_lengths(n_points, params.segment_len)[:-1])
+    else:
+        logw = log_weight_from_phi(phi0, n_modes)
+        alphas, seg_starts = sample_positions(logw, n_modes, n_points, params,
+                                              rng, start=start)
     values = getattr(phi0, "values", None)
     if values is not None:
         phis = values(alphas)
@@ -589,8 +628,9 @@ class BargmannInterpolant:
     least-squares fitted to the stored states, with the same Cholesky
     solve and ``lstsq`` fallback. ``residual`` is the median over the
     chain of ||Phi(alpha_k*) - phi_k|| / ||phi_k||. ``values`` evaluates
-    Phi at many points, ``phi_at`` at one point on Python scalars (Horner
-    over the K terms of each component).
+    Phi at many points and ``log_weights`` the weight it defines there;
+    ``phi_at`` evaluates Phi at one point on Python scalars (Horner over
+    the K terms of each component).
     """
 
     def __init__(self, alphas: np.ndarray, phis: np.ndarray):
@@ -625,7 +665,11 @@ class BargmannInterpolant:
         return acc
 
     def phi_at(self, alpha):
-        """Phi at the point whose coordinates are ``alpha`` (length 1)."""
+        """Phi at the point whose coordinates are ``alpha`` (length 1).
+
+        The package itself evaluates the fit through ``values``; this
+        scalar form stays because the benchmark's tracer
+        (``bench/tracer.py``) wraps it as its ``chain.interp`` target."""
         w = alpha.tolist()[0].conjugate() - self._center
         carrier = cmath.exp(self._beta * w)
         out = []
@@ -636,34 +680,33 @@ class BargmannInterpolant:
             out.append(carrier * acc)
         return np.array(out)
 
-    def log_weight(self, alpha):
-        """log of e^{-|alpha|^2} ||Phi(alpha*)||^2."""
-        n2 = 0.0
-        for v in self.phi_at(alpha).tolist():
-            n2 += v.real * v.real + v.imag * v.imag
-        if not 0.0 < n2 < math.inf:
-            return -math.inf
-        a = alpha.tolist()[0]
-        return math.log(n2) - (a.real * a.real + a.imag * a.imag)
+    def log_weights(self, alphas):
+        """log of e^{-|alpha|^2} ||Phi(alpha*)||^2 at every row of
+        ``alphas`` (shape (N, 1)); -inf where Phi vanishes or is not
+        finite."""
+        n2 = _norms2(self.values(alphas))
+        ok = (n2 > 0.0) & (n2 < math.inf)
+        out = np.full(n2.shape, -math.inf)
+        out[ok] = np.log(n2[ok]) - np.abs(alphas[ok, 0]) ** 2
+        return out
 
 
 def reformat(chain: ChainState, params: SamplerParams, rng,
              observables=None, gate_factor: float = 3.0) -> ChainState:
-    """Re-walk the chain against its current weight to restore uniform
-    small increments.
+    """Move every point by a few Metropolis steps under the chain's
+    current weight.
 
     The conditional state is carried over by the chain's own fit
-    (``BargmannInterpolant``). The chain is split into the segments of
-    ``_segment_lengths(N, params.segment_len)``, which for a chain
-    sampled with the same ``segment_len`` are its own. Each segment
-    keeps its first point as the seed, and phase B of the sampler
-    (``rewalk_segments``) re-walks the rest of it under the fitted weight
-    e^{-|alpha|^2} ||Phi(alpha*)||^2. The seeds are the evolved chain's
-    points, so they are already distributed by that weight, and the
-    capped walk leaves it invariant; within-segment increments are at
-    most ``params.step_cap`` again. Every new point, seeds included,
-    carries the fitted state. Since the seeds are shared, the estimates
-    after reformat are correlated with those before.
+    (``BargmannInterpolant``). Every point then makes
+    ``params.segment_len - 1`` capped proposals under the fitted weight
+    e^{-|alpha|^2} ||Phi(alpha*)||^2, all N points at once
+    (``move_lockstep``), so none moves further than
+    ``(segment_len - 1) * step_cap``. Each point starts from its own
+    position, which is already distributed by that weight, and the
+    capped walk leaves it invariant. Since every point starts where it
+    was, the estimates after reformat are correlated with those before.
+    Every point carries the fitted state afterwards, and the chain keeps
+    its ``segment_starts``.
 
     Raises DimensionMismatch for a chain with more than one mode, and
     InterpolationDegraded, before sampling, when the fit misses the
@@ -687,10 +730,11 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
         observables = standard_suite(chain.d, chain.n_modes)
     before = [estimate(chain, ob) for ob in observables]
 
-    alphas, seg_starts = rewalk_segments(interp.log_weight, chain.alphas,
-                                         params, rng)
+    alphas = move_lockstep(interp.log_weights, chain.alphas,
+                           params.segment_len - 1, params, rng)
     out = ChainState(time=chain.time, alphas=alphas,
-                     phis=interp.values(alphas), segment_starts=seg_starts,
+                     phis=interp.values(alphas),
+                     segment_starts=chain.segment_starts,
                      n_steps=chain.n_steps,
                      lineage=chain.lineage + (f"reformat@t={chain.time:.6g}",))
     after = [estimate(out, ob) for ob in observables]

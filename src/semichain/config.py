@@ -20,13 +20,8 @@ from .observables import Monomial, Observable
 CHAIN_DEFAULTS = {
     "n_points": 20000,
     "eps": 2.5e-2,
-    "step_cap": 0.45,
-    "segment_len": 6,
-    "delta_min": 1e-8,
-    "burn_in": None,          # None -> 10 * n_points proposals
     "batch_count": 32,
     "integrator": "midpoint",  # step() itself defaults to euler
-    "reformat": "auto",       # auto | off
 }
 
 ORACLE_DEFAULTS = {
@@ -280,18 +275,11 @@ def validate_config(raw) -> RunConfig:
         else:
             applied[f"chain.{key}"] = default
     eps = _positive(chain_cfg, "eps", "chain", errors)
-    for key in ("step_cap", "delta_min"):
-        _positive(chain_cfg, key, "chain", errors)
-    for key in ("n_points", "segment_len", "batch_count"):
+    for key in ("n_points", "batch_count"):
         if not _positive_int(chain_cfg[key]):
             errors.append(f"chain.{key}: must be a positive integer")
-    burn_in = chain_cfg["burn_in"]
-    if burn_in is not None and not _positive_int(burn_in):
-        errors.append("chain.burn_in: must be null or a positive integer")
     if chain_cfg["integrator"] not in ("euler", "midpoint"):
         errors.append("chain.integrator: expected euler|midpoint")
-    if chain_cfg["reformat"] not in ("auto", "off"):
-        errors.append("chain.reformat: expected auto|off")
 
     oracle_cfg = dict(ORACLE_DEFAULTS)
     raw_oracle = raw.get("oracle", {})

@@ -17,8 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .chain import (chain_quality, coherent_bargmann, estimate, initial_chain,
-                    reformat, step)
+from .chain import coherent_bargmann, estimate, initial_chain, step
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, validate_config
 from .oracle import antinormal_expectation, build_initial, evolve
@@ -55,12 +54,6 @@ def _emit_rows(t, config: RunConfig, chain_state, oracle_state):
     return rows
 
 
-def _sampler_params(config: RunConfig) -> SamplerParams:
-    c = config.chain
-    return SamplerParams(step_cap=c["step_cap"], segment_len=c["segment_len"],
-                         burn_in=c["burn_in"])
-
-
 def _schedule(config: RunConfig):
     n_blocks = int(round(config.t_final / config.record_every))
     steps_per_block = int(round(config.record_every / config.chain["eps"]))
@@ -80,13 +73,13 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
     chain_state = None
     oracle_state = None
     if config.engine in ("chain", "both"):
+        # a coherent start is drawn exactly: no walk, so the sampler's
+        # knobs keep their defaults
         phi0 = coherent_bargmann(config.alpha0, config.atomic)
-        _log(f"sampling initial chain: N={config.chain['n_points']}, "
-             f"step_cap={config.chain['step_cap']}")
+        _log(f"sampling initial chain: N={config.chain['n_points']}")
         chain_state = initial_chain(
             phi0, config.spec.n_modes, config.chain["n_points"],
-            config.chain["step_cap"], rng, params=_sampler_params(config),
-            start=config.alpha0, lineage=(f"seed={config.seed}",))
+            SamplerParams().step_cap, rng, lineage=(f"seed={config.seed}",))
     if config.engine in ("oracle", "both"):
         cutoffs = [config.oracle["cutoff"]] * config.spec.n_modes
         oracle_state = build_initial(config.spec, config.atomic, config.alpha0,
@@ -115,7 +108,6 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
     n_blocks, steps_per_block = _schedule(config)
     c = config.chain
     eps = c["eps"]
-    auto_reformat = c["reformat"] == "auto"
     csv_path = os.path.join(out_dir, "timeseries.csv")
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
 
@@ -124,15 +116,6 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
             for _ in range(steps_per_block):
                 chain_state = step(chain_state, config.spec, eps,
                                    integrator=c["integrator"])
-            if auto_reformat:
-                quality = chain_quality(chain_state, c["delta_min"])
-                if quality.needs_reformat(c["step_cap"]):
-                    _log(f"reformatting chain at t={chain_state.time:.6g} "
-                         f"(max increment {float(np.max(quality.max_increment)):.3g}, "
-                         f"{quality.n_degenerate_pairs} degenerate pairs, "
-                         f"{quality.n_zero_norm} zero-norm points)")
-                    chain_state = reformat(chain_state,
-                                           _sampler_params(config), rng)
         if oracle_state is not None:
             oracle_state = evolve(oracle_state, config.spec,
                                   config.record_every,

@@ -24,10 +24,18 @@ and the effective sample size is ~N / segment_len. Derivatives are
 taken within segments only, so the large seed-to-seed jumps at segment
 boundaries never enter a difference quotient.
 
-``rewalk_segments`` runs phase B alone. ``chain.reformat`` uses it on an
-evolved chain: each segment keeps its first point as the seed, which is
-already distributed by the current weight, and the capped walk, which
-leaves that weight invariant, re-walks the rest of the segment.
+This walk is what ``initial_chain`` runs for a generic ``phi0``
+callable; ``chain_derivative`` (acceptance criterion 5) needs its small
+increments. A coherent start needs none of it: its weight is a complex
+Gaussian, so ``initial_chain`` draws those points exactly, iid, and the
+update's derivative is one fit over the whole cloud, which reads no
+increments.
+
+``move_lockstep`` moves every point of a cloud at once by a few capped
+proposals, each point a Metropolis walk of its own under a vectorized
+weight. ``chain.reformat`` uses it on an evolved chain: every point
+starts from its own position, which is already distributed by the
+current weight, and the capped walk leaves that weight invariant.
 
 Metropolis rejections duplicate the previous point. Duplicates carry
 the repeat multiplicity the Metropolis measure requires and are handled
@@ -47,10 +55,9 @@ whose rounding Python's would not match (the proposal scale's exp
 factors, the cap test) is still done by numpy, a chunk of draws at a
 time, so a given generator state gives the same chain bit for bit.
 
-For a coherent start the weight needs no evaluation of phi:
-``coherent_bargmann`` attaches the closed form
-log ||atomic||^2 - |alpha - alpha0|^2 as ``phi.log_weight``, and
-``log_weight_from_phi`` returns it. It rounds differently from the
+The walk can use a closed-form weight: ``log_weight_from_phi`` returns
+``phi.log_weight`` when phi carries one (``coherent_bargmann`` does:
+log ||atomic||^2 - |alpha - alpha0|^2). It rounds differently from the
 generic closure (by ~1e-15), so a Metropolis decision could flip only
 if a uniform draw fell that close to its threshold.
 """
@@ -92,6 +99,13 @@ class SamplerParams:
             raise ValueError("seg_sigma_frac must be in (0, 1]")
 
 
+def _complex_normals(rng, n, n_modes):
+    """(n, n_modes) unit complex Gaussians, (g1 + i g2) / sqrt(2), from
+    one ``standard_normal((n, 2 * n_modes))`` call."""
+    g = rng.standard_normal((n, 2 * n_modes))
+    return (g[:, :n_modes] + 1j * g[:, n_modes:]) / np.sqrt(2.0)
+
+
 class _BufferedDraws:
     """Blocked RNG draws, handed out as Python numbers so that the walk
     runs on scalars.
@@ -111,8 +125,7 @@ class _BufferedDraws:
     def _advance(self):
         """Hand out the next chunk, drawing a new block when needed."""
         if self._next >= _BLOCK:
-            g = self.rng.standard_normal((_BLOCK, 2 * self.n_modes))
-            self._normals = (g[:, : self.n_modes] + 1j * g[:, self.n_modes:]) / np.sqrt(2.0)
+            self._normals = _complex_normals(self.rng, _BLOCK, self.n_modes)
             self._logu = np.log(self.rng.random(_BLOCK))
             self._next = 0
         lo = self._next
@@ -279,29 +292,6 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
     return alphas, np.asarray(segment_starts, dtype=int)
 
 
-def rewalk_segments(log_weight, alphas, params: SamplerParams, rng):
-    """Phase B alone, from seeds already distributed by the weight.
-
-    Splits the ``(n_points, n_modes)`` positions ``alphas`` into the
-    segments of ``sample_positions`` (``_segment_lengths``); each segment
-    keeps its first point as its seed and the rest of it is re-walked by
-    the capped walk. Returns ``(alphas, segment_starts)`` like
-    ``sample_positions``, and raises SamplerStuck in the same cases:
-    a seed of zero weight, or a segment that never accepts a move.
-    """
-    n_points, n_modes = alphas.shape
-    lengths = _segment_lengths(n_points, params.segment_len)
-    starts = np.cumsum([0] + lengths[:-1])
-    draws = _BufferedDraws(rng, n_modes)
-    out = np.empty((n_points, n_modes), dtype=complex)
-    for pos, seg_len in zip(starts.tolist(), lengths):
-        seed = alphas[pos]
-        out[pos: pos + seg_len] = _walk_segment(
-            log_weight, seed.tolist(), log_weight(seed), seg_len, params,
-            draws, pos)
-    return out, starts
-
-
 def _walk_segment(log_weight, seed, seed_logw, seg_len, params, draws, pos):
     """Phase B: a capped walk of ``seg_len`` points from a seed, walked
     again from the same seed while every move is rejected; ``pos`` is the
@@ -318,3 +308,47 @@ def _walk_segment(log_weight, seed, seed_logw, seg_len, params, draws, pos):
     raise SamplerStuck(
         f"segment at point {pos} never accepted a move in "
         f"{params.max_segment_retries} re-walks")
+
+
+def move_lockstep(log_weights, alphas, n_moves, params: SamplerParams, rng):
+    """``n_moves`` capped Metropolis proposals for every point at once.
+
+    Each row of the ``(n_points, n_modes)`` positions ``alphas`` is a
+    walk of its own under ``log_weights``, which maps an (n, n_modes)
+    array to n log weights. A proposal has phase B's scale,
+    ``seg_sigma_frac * step_cap``, and is redrawn, row by row, until
+    every mode moves by at most ``step_cap``, so no point moves further
+    than ``n_moves * step_cap`` per mode. Returns the new positions.
+
+    Raises SamplerStuck if a point starts at zero weight, or a row's
+    capped proposal is still outside the cap after a million draws.
+    """
+    x = np.array(alphas, dtype=complex)
+    n_points, n_modes = x.shape
+    sigma = params.seg_sigma_frac * params.step_cap
+    logw = np.array(log_weights(x), dtype=float)
+    if not np.all(np.isfinite(logw)):
+        raise SamplerStuck(
+            f"walk started at a zero-weight point "
+            f"({int(np.sum(~np.isfinite(logw)))} of {n_points})")
+    for _ in range(n_moves):
+        step = sigma * _complex_normals(rng, n_points, n_modes)
+        outside = np.nonzero(np.any(np.abs(step) > params.step_cap, axis=1))[0]
+        for _ in range(_MAX_CAP_DRAWS - 1):
+            if outside.size == 0:
+                break
+            redraw = sigma * _complex_normals(rng, outside.size, n_modes)
+            step[outside] = redraw
+            outside = outside[np.any(np.abs(redraw) > params.step_cap, axis=1)]
+        if outside.size:
+            raise SamplerStuck(
+                f"no capped proposal of scale {sigma:g} moved every mode by "
+                f"at most step_cap {params.step_cap:g} in {_MAX_CAP_DRAWS} "
+                f"draws; lower seg_sigma_frac or raise step_cap")
+        y = x + step
+        logu = np.log(rng.random(n_points))
+        logw_y = log_weights(y)
+        accept = logu < logw_y - logw
+        x[accept] = y[accept]
+        logw[accept] = logw_y[accept]
+    return x

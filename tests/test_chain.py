@@ -212,9 +212,12 @@ def test_coherent_values_equal_the_per_point_states(alpha0, atomic):
                                          + 1j * rng.standard_normal((20000, m)))
     loop = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
     assert np.array_equal(phi0.values(alphas), loop)
-    # initial_chain takes the batch; a generic callable takes the loop
+    # initial_chain takes the batch when a plain callable carries it, and
+    # the loop otherwise; both walk the same Metropolis chain
+    batched = lambda a: phi0(a)  # noqa: E731
+    batched.values = phi0.values
     chains = [sc.initial_chain(phi, m, 3000, 0.45, np.random.default_rng(7))
-              for phi in (phi0, lambda a: phi0(a))]
+              for phi in (batched, lambda a: phi0(a))]
     assert np.array_equal(chains[0].alphas, chains[1].alphas)
     assert np.array_equal(chains[0].phis, chains[1].phis)
 
@@ -351,9 +354,11 @@ def _rebuilt(chain):
 
 
 def _sampled_chain(n=800, seed=53):
-    """A sampled chain with Metropolis repeats in many segments."""
+    """A sampled chain with Metropolis repeats in many segments: a plain
+    callable, so that the Metropolis sampler walks it."""
     phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
-    ch = sc.initial_chain(phi0, 1, n, 0.45, np.random.default_rng(seed))
+    ch = sc.initial_chain(lambda a: phi0(a), 1, n, 0.45,
+                          np.random.default_rng(seed))
     repeats = np.all(ch.alphas[1:] == ch.alphas[:-1], axis=1)
     assert repeats.sum() > n // 20 and len(ch.segment_starts) > 10
     return ch
@@ -533,21 +538,32 @@ def test_reformat_translated_chain_keeps_moments():
     assert abs(v1 - v0) <= 3.0 * np.hypot(s0, s1) + 1e-12
 
 
-def test_reformat_removes_stretched_gap():
-    phi0 = sc.coherent_bargmann([0.0], [1.0])
+def _assert_lockstep_move(before, out, params):
+    """No point of ``out`` is further from its place in ``before`` than
+    segment_len - 1 capped steps, and the segments are kept."""
+    moved = np.abs(out.alphas - before.alphas)
+    # the cap is tested on the proposed step; adding it to the point
+    # rounds at the 1e-16 level
+    assert moved.max() <= (params.segment_len - 1) * params.step_cap + 1e-12
+    assert np.array_equal(out.segment_starts, before.segment_starts)
+
+
+def test_reformat_moves_a_stretched_chain_point_by_point():
+    # one segment displaced by 0.7, far beyond 2 * cap: every point still
+    # moves only by its own capped steps, and keeps the exact state
+    phi0 = sc.coherent_bargmann([0.5], [0.6, 0.8])
     rng = np.random.default_rng(79)
     params = SamplerParams(step_cap=0.3, segment_len=6, burn_in=20000)
     ch = sc.initial_chain(phi0, 1, 2000, 0.3, rng, params=params)
-    # synthetically stretch one in-segment increment beyond 2 * cap
     alphas = ch.alphas.copy()
     a, b = ch.segment_starts[:2]
     alphas[a + 1: b] += 0.7
-    phis = np.array([phi0(x.conj()) for x in alphas[:, 0]])
-    bad = ChainState(time=0.0, alphas=alphas, phis=phis,
+    bad = ChainState(time=0.0, alphas=alphas, phis=phi0.values(alphas),
                      segment_starts=ch.segment_starts)
-    assert sc.chain_quality(bad).needs_reformat(0.3)
     out = sc.reformat(bad, params, rng)
-    assert not sc.chain_quality(out).needs_reformat(0.3)
+    _assert_lockstep_move(bad, out, params)
+    assert np.mean(np.any(out.alphas != bad.alphas, axis=1)) > 0.5
+    assert np.max(_rel_err(out.phis, phi0.values(out.alphas))) <= 1e-10
 
 
 def test_reformat_gate_raises_on_corrupt_interpolant():
@@ -587,14 +603,13 @@ def test_reformat_carries_states_of_the_fitted_class_exactly():
     out = sc.reformat(chain, params, rng, gate_factor=math.inf)
     assert not np.array_equal(out.alphas, chain.alphas)
     assert np.max(_rel_err(out.phis, phi(out.alphas))) <= 1e-10
-    # the walk's scalar weight evaluates the same fit
+    # the walk's weight and the scalar evaluation use the same fit
     interp = BargmannInterpolant(chain.alphas, chain.phis)
     some = out.alphas[:50]
     ref = interp.values(some)
     assert np.allclose([interp.phi_at(a) for a in some], ref, rtol=1e-13, atol=0)
     logw = np.log(np.sum(np.abs(ref) ** 2, axis=1)) - np.abs(some[:, 0]) ** 2
-    assert np.allclose([interp.log_weight(a) for a in some], logw,
-                       rtol=1e-13, atol=1e-13)
+    assert np.allclose(interp.log_weights(some), logw, rtol=1e-13, atol=1e-13)
 
 
 def test_reformat_rejects_two_modes():
@@ -646,19 +661,14 @@ def _evolved_chain(spec, seed, n=2000, steps=500):
     return ch, params, rng
 
 
-def test_reformat_rewalks_each_segment_from_its_seed(jc_spec):
+def test_reformat_moves_each_point_in_lockstep(jc_spec):
     ch, params, rng = _evolved_chain(jc_spec, 91, n=1200, steps=200)
     out = sc.reformat(ch, params, rng)
-    starts = ch.segment_starts
-    assert np.array_equal(out.segment_starts, starts)
-    assert np.array_equal(out.alphas[starts], ch.alphas[starts])
-    within = np.ones(out.n_points - 1, dtype=bool)
-    within[starts[1:] - 1] = False
-    inc = np.abs(np.diff(out.alphas[:, 0]))[within]
-    # the cap is tested on the proposed step; adding it to the point
-    # rounds at the 1e-16 level
-    assert inc.max() <= params.step_cap + 1e-12
-    assert np.mean(inc > 0) > 0.5
+    _assert_lockstep_move(ch, out, params)
+    assert np.mean(np.any(out.alphas != ch.alphas, axis=1)) > 0.5
+    # every point carries the fitted state at its new place
+    fit = BargmannInterpolant(ch.alphas, ch.phis)
+    assert np.array_equal(out.phis, fit.values(out.alphas))
 
 
 @pytest.mark.parametrize("seed", [3, 5, 7])

@@ -16,7 +16,7 @@ def small_config(engine="both", t_final=0.05, record_every=0.025, n_points=400,
     raw = minimal_config()
     raw["engine"] = engine
     raw["schedule"] = {"t_final": t_final, "record_every": record_every}
-    chain = {"n_points": n_points, "burn_in": 4000, "step_cap": 0.45}
+    chain = {"n_points": n_points}
     chain.update(chain_overrides)
     raw["chain"] = chain
     raw["oracle"] = {"cutoff": 14}

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import semichain as sc
-from semichain import sampling
-from semichain.errors import SamplerStuck
+from semichain import chain as chain_module, sampling
+from semichain.errors import DimensionMismatch, SamplerStuck
 from semichain.sampling import SamplerParams, log_weight_from_phi, sample_positions
 
 from conftest import disk_grid, quad_phase_plane
@@ -170,3 +170,105 @@ def test_deterministic_given_seed():
                               np.random.default_rng(7))
     assert np.array_equal(a1, a2)
     assert np.array_equal(s1, s2)
+
+
+# ------------------------------------------------- exact coherent starts
+
+@pytest.mark.parametrize("alpha0, seed", [
+    ([1.0], 201), ([3 - 2j], 202), ([0.3 + 0.4j, -0.7], 203)])
+def test_coherent_start_draws_the_exact_gaussian(alpha0, seed):
+    # iid points of ||atomic||^2 e^{-|alpha - alpha0|^2}: the mean and
+    # the variance of every mode within iid rates, and no lag-1
+    # correlation along the chain
+    n = 20000
+    phi0 = sc.coherent_bargmann(alpha0, [0.6, 0.8j])
+    chain = sc.initial_chain(phi0, len(alpha0), n, 0.45,
+                             np.random.default_rng(seed))
+    for m, a0 in enumerate(alpha0):
+        a = chain.alphas[:, m]
+        assert abs(a.mean() - a0) <= 4.0 / np.sqrt(n)
+        assert abs(np.mean(np.abs(a - a0) ** 2) - 1.0) <= 5.0 / np.sqrt(n)
+        c = a - a.mean()
+        lag1 = abs(np.vdot(c[:-1], c[1:])) / np.vdot(c, c).real
+        assert lag1 <= 4.0 / np.sqrt(n)
+    assert np.array_equal(chain.phis, phi0.values(chain.alphas))
+
+
+def test_coherent_start_is_one_draw_split_into_segments():
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    params = SamplerParams(step_cap=0.45, segment_len=6)
+    chain = sc.initial_chain(phi0, 1, 1003, 0.45, np.random.default_rng(5),
+                             params=params)
+    assert np.array_equal(chain.alphas, phi0.draw(np.random.default_rng(5), 1003))
+    lengths = sampling._segment_lengths(1003, 6)
+    assert np.array_equal(chain.segment_starts,
+                          np.cumsum([0] + lengths[:-1]))
+    with pytest.raises(DimensionMismatch, match="phi0 has 1 modes"):
+        sc.initial_chain(phi0, 2, 1003, 0.45, np.random.default_rng(5))
+
+
+def test_coherent_start_calls_no_weight(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a coherent start evaluated the weight")
+
+    phi0 = sc.coherent_bargmann([0.5 - 1.2j], [1.0, 0.5j])
+    phi0.log_weight = boom
+    monkeypatch.setattr(chain_module, "log_weight_from_phi", boom)
+    monkeypatch.setattr(chain_module, "sample_positions", boom)
+    chain = sc.initial_chain(phi0, 1, 2000, 0.45, np.random.default_rng(9))
+    assert chain.n_points == 2000
+
+
+def test_zero_atomic_state_draws_nothing():
+    phi0 = sc.coherent_bargmann([1.0], [0.0, 0.0])
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(SamplerStuck, match="zero-weight"):
+        sc.initial_chain(phi0, 1, 100, 0.45, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generic_callable_keeps_the_metropolis_chain(seed):
+    # a plain phi0 callable is walked by sample_positions, as before
+    phi0 = sc.coherent_bargmann([0.5 - 1.2j], [1.0, 0.5j])
+    generic = lambda a: phi0(a)  # noqa: E731
+    params = SamplerParams(step_cap=0.45, segment_len=6, burn_in=3000)
+    chain = sc.initial_chain(generic, 1, 1500, 0.45,
+                             np.random.default_rng(seed), params=params,
+                             start=[0.5 - 1.2j])
+    alphas, starts = sample_positions(log_weight_from_phi(generic, 1), 1, 1500,
+                                      params, np.random.default_rng(seed),
+                                      start=[0.5 - 1.2j])
+    assert chain.alphas.tobytes() == alphas.tobytes()
+    assert np.array_equal(chain.segment_starts, starts)
+    assert np.array_equal(chain.phis, [phi0(np.conj(a)) for a in alphas])
+
+
+def _gaussian_weights(alphas):
+    return -np.sum(np.abs(alphas) ** 2, axis=1)
+
+
+def test_lockstep_moves_respect_the_cap_and_keep_the_weight():
+    # 12 modes with proposals as wide as the cap: most draws are redrawn
+    rng = np.random.default_rng(211)
+    params = SamplerParams(step_cap=0.3, seg_sigma_frac=1.0)
+    start = (rng.standard_normal((4000, 12))
+             + 1j * rng.standard_normal((4000, 12))) / np.sqrt(2)
+    out = sampling.move_lockstep(_gaussian_weights, start, 5, params, rng)
+    assert np.abs(out - start).max() <= 5 * 0.3 + 1e-12
+    assert np.mean(np.any(out != start, axis=1)) > 0.5
+    assert abs(np.mean(np.abs(out) ** 2) - 1.0) <= 5.0 / np.sqrt(out.size)
+
+
+def test_lockstep_cap_draw_limit_and_zero_weight_raise(monkeypatch):
+    params = SamplerParams(step_cap=0.3, seg_sigma_frac=1.0)
+    start = np.zeros((50, 12), dtype=complex)
+    monkeypatch.setattr(sampling, "_MAX_CAP_DRAWS", 2)
+    with pytest.raises(SamplerStuck, match="step_cap 0.3.*seg_sigma_frac"):
+        sampling.move_lockstep(_gaussian_weights, start, 1, params,
+                               np.random.default_rng(3))
+    weights = lambda a: np.where(a[:, 0] == 0, -np.inf, 0.0)  # noqa: E731
+    with pytest.raises(SamplerStuck, match="zero-weight"):
+        sampling.move_lockstep(weights, start, 1, params,
+                               np.random.default_rng(3))
