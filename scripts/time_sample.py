@@ -7,10 +7,11 @@
 Runs ``initial_chain`` on ``coherent_bargmann(alpha0, atomic)`` (one
 mode per ``--alpha0`` value; complex values are written like ``0.5-1.2j``),
 which draws its points exactly. With ``--generic`` it wraps that phi0 in
-a plain callable that carries the closed-form ``log_weight`` and the
-batched ``values`` but not ``draw``, so that ``initial_chain`` runs the
-Metropolis sampler instead (the path of every phi0 other than a coherent
-start) on the same weight as before exact draws existed. It prints:
+a plain callable that carries the batched ``values`` but not ``draw``,
+so that ``initial_chain`` runs the Metropolis sampler instead (the path
+of every phi0 other than a coherent start), on a weight that
+``log_weight_from_phi`` evaluates from phi0 one point at a time. It
+prints:
 
 - seconds: wall time of ``initial_chain``, sampling and the states at
   the sampled points;
@@ -80,7 +81,6 @@ def main(argv=None):
         def phi0(alpha_star):
             return coherent(alpha_star)
 
-        phi0.log_weight = coherent.log_weight
         phi0.values = coherent.values
     params = SamplerParams(step_cap=args.step_cap, segment_len=args.segment_len)
     t0 = time.perf_counter()

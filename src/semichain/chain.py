@@ -15,15 +15,15 @@ velocity -i <j(t)>, and its state follows the comoving equation
 the fixed-point equation of motion plus the transport term generated
 by the point's own motion, which keeps each stored state equal to the
 conditional state at its point's current position. Since every stored
-state samples one entire function of alpha*, the derivative
-dphi/dalpha* comes from one least-squares fit over the whole chain:
-K = 8 displaced number states around the cloud's centre, solved by
-Cholesky, with a minimum-norm ``lstsq`` fallback for chains too
-degenerate to factor (see ``_derivatives``). The update is single-mode;
-``step`` rejects chains with more than one mode.
+state samples one entire function of alpha*, one least-squares fit over
+the whole chain (``BargmannInterpolant``) gives that function: K = 8
+displaced number states around the cloud's centre, solved by Cholesky,
+with a minimum-norm ``lstsq`` fallback for chains too degenerate to
+factor. The update reads the fit's derivative dphi/dalpha*, and
+``reformat`` carries the states over by the same fit's values. The
+update is single-mode; ``step`` rejects chains with more than one mode.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -209,7 +209,7 @@ def chain_derivative(chain: ChainState, k: int, n: int,
 
 
 # Terms K of the fitted expansion of the conditional state (see
-# ``_derivatives``).
+# ``BargmannInterpolant``).
 _FIT_TERMS = 8
 # A Cholesky pivot that keeps less than this fraction of its column's
 # squared norm means the fit's columns are numerically dependent.
@@ -224,12 +224,19 @@ class _Workspace:
     A chain's first ``step`` makes it, and every chain that ``step``
     returns carries it on (``ChainState._workspace``), so the full-length
     temporaries are allocated once per run, not once per rate
-    evaluation. ``_derivatives`` and ``_rates`` write into its buffers
-    and return views of them, which the next use overwrites; one chain
-    must not be stepped from several threads at once. Uses that never
-    overlap share a buffer, to keep the resident set small: "scratch"
-    holds the fit's stacked block, then the products of ``_rates``;
-    "rates_phis" holds the squared states, then j phi.
+    evaluation. The fit (``BargmannInterpolant``) and ``_rates`` write
+    into its buffers and return views of them, which the next use
+    overwrites; one chain must not be stepped from several threads at
+    once. Uses that never overlap share a buffer, to keep the resident
+    set small:
+
+    - "scratch": the fit's stacked block (its basis rows, then the
+      states it fits), which ``derivative()`` reads; then the products
+      of ``_rates``;
+    - "carrier": the fit's e^{beta w} at the chain's points;
+    - "deriv": the fit's derivative, then the last product of
+      ``_rates``;
+    - "rates_phis": the squared states, then j phi.
     """
 
     def __init__(self, n, d):
@@ -255,17 +262,41 @@ def _workspace_for(workspace, n, d):
     return _Workspace(n, d)
 
 
-def _derivatives(alphas, phis, workspace=None):
-    """Chain derivative dphi/dalpha* of a single-mode chain,
-    component-major: shape (d, N) for ``alphas`` (N, 1) and ``phis``
-    (N, d).
+def _fill_basis(alphas, basis, carrier, center=None):
+    """The fit's columns at the points ``alphas`` (shape (N, 1)): the rows
+    w^m / sqrt(m!) of w = alpha* - center into ``basis`` (K, N), and
+    e^{beta w} with beta = conj(center) into ``carrier`` (N,). A None
+    ``center`` is the mean of alpha*; returns the center used."""
+    w = np.conjugate(alphas[:, 0], out=basis[1])
+    if center is None:
+        center = w.mean()
+    w -= center
+    basis[0] = 1.0
+    for m in range(2, _FIT_TERMS):
+        np.multiply(basis[m - 1], w, out=basis[m])
+        basis[m] *= 1.0 / _SQRT[m]
+    np.exp(np.multiply(center.conjugate(), w, out=carrier), out=carrier)
+    return center
 
-    Every stored state samples one entire function Phi of z = alpha*
-    (Bargmann, Comm. Pure Appl. Math. 14, 1961), so one least-squares
-    fit over all N points gives its derivative everywhere. The fit is in
-    the displaced number-state basis around the cloud's centre (de
-    Oliveira, Kim, Knight & Buzek, Phys. Rev. A 41, 2645, 1990): with c
-    the mean of z, w = z - c and beta = conj(c),
+
+def _evaluate(coef, basis, carrier, out):
+    """e^{beta w} sum_m coef_m w^m / sqrt(m!) on the columns that
+    ``_fill_basis`` made, component-major (d, N), into ``out``."""
+    np.matmul(coef.T, basis, out=out)
+    out *= carrier
+    return out
+
+
+class BargmannInterpolant:
+    """The conditional state of a single-mode chain as one entire
+    function of z = alpha*, fitted once over the whole chain.
+
+    Every stored state samples one entire function Phi of z (Bargmann,
+    Comm. Pure Appl. Math. 14, 1961), so one least-squares fit over all
+    N points gives it, and its derivative, everywhere. The fit is in the
+    displaced number-state basis around the cloud's centre (de Oliveira,
+    Kim, Knight & Buzek, Phys. Rev. A 41, 2645, 1990): with c the mean
+    of z, w = z - c and beta = conj(c),
 
         Phi(z) ~ e^{beta w} sum_{n<K} c_n w^n / sqrt(n!),  K = _FIT_TERMS,
 
@@ -280,34 +311,83 @@ def _derivatives(alphas, phis, workspace=None):
     the factorization fails, or a pivot shows numerically dependent
     columns (fewer than K distinct points, a fully duplicate chain), the
     same rows are solved by ``np.linalg.lstsq``, whose minimum-norm
-    solution keeps the derivative finite.
+    solution keeps the fit finite.
 
-    The buffers come from ``workspace`` (a new one if it is None or was
-    made for other sizes); the result is a view of one of them.
+    ``coef`` holds the c_n, shape (K, d). The update reads
+    ``derivative()`` (through ``_derivatives``); ``reformat`` reads
+    ``values``, ``log_weights`` and ``residual``. The basis and carrier
+    at the chain's points live in the buffers of ``workspace`` (a new
+    one if it is None or was made for other sizes).
     """
-    n, d = phis.shape
-    ws = _workspace_for(workspace, n, d)
-    # rows: the basis w^m / sqrt(m!), then y
-    block = ws.array("scratch", (_FIT_TERMS + d, n))
-    basis, y = block[:_FIT_TERMS], block[_FIT_TERMS:]
-    w = np.conjugate(alphas[:, 0], out=basis[1])
-    center = w.mean()
-    w -= center
-    beta = center.conjugate()
-    basis[0] = 1.0
-    for m in range(2, _FIT_TERMS):
-        np.multiply(basis[m - 1], w, out=basis[m])
-        basis[m] *= 1.0 / _SQRT[m]
-    carrier = ws.array("carrier", (n,))
-    np.exp(np.multiply(beta, w, out=carrier), out=carrier)
-    np.divide(phis.T, carrier, out=y)
-    coef = _fit_coefficients(block, _FIT_TERMS)
-    # coefficients of the derivative in the same basis
-    dcoef = beta * coef
-    dcoef[:-1] += _SQRT[1:, None] * coef[1:]
-    deriv = np.matmul(dcoef.T, basis, out=ws.array("deriv", (d, n)))
-    deriv *= carrier
-    return deriv
+
+    def __init__(self, alphas, phis, workspace=None):
+        alphas = np.asarray(alphas, dtype=complex)
+        phis = np.asarray(phis, dtype=complex)
+        n, d = phis.shape
+        self._alphas, self._phis = alphas, phis
+        self._ws = _workspace_for(workspace, n, d)
+        # rows: the basis w^m / sqrt(m!), then y
+        block = self._ws.array("scratch", (_FIT_TERMS + d, n))
+        self._basis = block[:_FIT_TERMS]
+        self._carrier = self._ws.array("carrier", (n,))
+        self._center = _fill_basis(alphas, self._basis, self._carrier)
+        np.divide(phis.T, self._carrier, out=block[_FIT_TERMS:])
+        self.coef = _fit_coefficients(block, _FIT_TERMS)
+
+    def derivative(self):
+        """dPhi/dz at the chain's own points, shape (d, N), as a view of
+        the workspace's "deriv" buffer. It reads the basis in "scratch",
+        so it must come before anything else writes there."""
+        n, d = self._phis.shape
+        dcoef = self._center.conjugate() * self.coef
+        dcoef[:-1] += _SQRT[1:, None] * self.coef[1:]
+        return _evaluate(dcoef, self._basis, self._carrier,
+                         self._ws.array("deriv", (d, n)))
+
+    def values(self, alphas):
+        """Phi at every row of ``alphas`` (shape (N, 1)); shape (N, d)."""
+        n = alphas.shape[0]
+        basis = np.empty((_FIT_TERMS, n), dtype=complex)
+        carrier = np.empty(n, dtype=complex)
+        _fill_basis(alphas, basis, carrier, self._center)
+        out = np.empty((self.coef.shape[1], n), dtype=complex)
+        return _evaluate(self.coef, basis, carrier, out).T
+
+    def phi_at(self, alpha):
+        """Phi at the point whose coordinates are ``alpha`` (length 1).
+
+        The package itself evaluates the fit through ``values``; this
+        form stays because the benchmark's tracer (``bench/tracer.py``)
+        wraps it as its ``chain.interp`` target."""
+        return self.values(alpha[None])[0]
+
+    def log_weights(self, alphas):
+        """log of e^{-|alpha|^2} ||Phi(alpha*)||^2 at every row of
+        ``alphas`` (shape (N, 1)); -inf where Phi vanishes or is not
+        finite."""
+        n2 = _norms2(self.values(alphas))
+        ok = (n2 > 0.0) & (n2 < math.inf)
+        out = np.full(n2.shape, -math.inf)
+        out[ok] = np.log(n2[ok]) - np.abs(alphas[ok, 0]) ** 2
+        return out
+
+    @property
+    def residual(self):
+        """Median over the chain of ||Phi(alpha_k*) - phi_k|| / ||phi_k||,
+        computed on request from the arrays the fit was built from."""
+        misfit = np.linalg.norm(self.values(self._alphas) - self._phis, axis=1)
+        return float(np.median(misfit / np.linalg.norm(self._phis, axis=1)))
+
+
+def _derivatives(alphas, phis, workspace=None):
+    """Chain derivative dphi/dalpha* of a single-mode chain,
+    component-major: shape (d, N) for ``alphas`` (N, 1) and ``phis``
+    (N, d); the ``derivative()`` of the chain's fit
+    (``BargmannInterpolant``), a view of a ``workspace`` buffer.
+
+    ``_rates`` looks it up as a module global at each call, so it can be
+    replaced from outside (the benchmark's tracer wraps it)."""
+    return BargmannInterpolant(alphas, phis, workspace).derivative()
 
 
 def _fit_coefficients(block, k):
@@ -455,11 +535,6 @@ class ChainQuality:
     n_zero_norm: int
     n_segments: int
 
-    def needs_reformat(self, step_cap: float) -> bool:
-        return (float(np.max(self.max_increment)) > 2.0 * step_cap
-                or self.n_degenerate_pairs > 0
-                or self.n_zero_norm > 0)
-
 
 def chain_quality(chain: ChainState,
                   delta_min: float = DEFAULT_DELTA_MIN) -> ChainQuality:
@@ -505,29 +580,18 @@ def coherent_bargmann(alpha0, atomic):
       ``rng.standard_normal((n, 2 M))`` call; it raises SamplerStuck,
       before drawing, when the atomic vector is zero (zero weight);
     - ``values(alphas)``: phi0(alpha_k*) at every row of an (N, M) array
-      in one numpy pass, equal bit for bit to the per-point calls;
-    - ``log_weight(alpha)``: the closed form of the log weight at one
-      point, for the Metropolis sampler.
+      in one numpy pass, equal bit for bit to the per-point calls.
 
-    ``initial_chain`` uses ``draw`` and ``values``.
+    ``initial_chain`` uses both.
     """
     alpha0 = np.atleast_1d(np.asarray(alpha0, dtype=complex))
     atomic = np.asarray(atomic, dtype=complex)
     offset = -0.5 * float(np.sum(np.abs(alpha0) ** 2))
-    center = alpha0.tolist()
     norm2 = float(np.real(np.vdot(atomic, atomic)))
-    log_norm2 = math.log(norm2) if norm2 > 0.0 else -math.inf
 
     def phi0(alpha_star):
         alpha_star = np.atleast_1d(np.asarray(alpha_star, dtype=complex))
         return np.exp(np.sum(alpha_star * alpha0) + offset) * atomic
-
-    def log_weight(alpha):
-        dist2 = 0.0
-        for a, c in zip(alpha.tolist(), center):
-            d = a - c
-            dist2 += d.real * d.real + d.imag * d.imag
-        return log_norm2 - dist2
 
     def values(alphas):
         return (np.exp(np.sum(np.conj(alphas) * alpha0, axis=1) + offset)[:, None]
@@ -538,7 +602,6 @@ def coherent_bargmann(alpha0, atomic):
             raise SamplerStuck("zero-weight start: the atomic state is zero")
         return alpha0 + _complex_normals(rng, n, alpha0.shape[0])
 
-    phi0.log_weight = log_weight
     phi0.values = values
     phi0.draw = draw
     return phi0
@@ -613,82 +676,6 @@ def standard_suite(d: int, n_modes: int) -> list:
 # means the chain no longer samples one entire function well enough to
 # carry its states over (see ``reformat``).
 _FIT_RESIDUAL_LIMIT = 0.1
-_SQRT_FACTORIAL = np.sqrt([math.factorial(m) for m in range(_FIT_TERMS)])
-
-
-class BargmannInterpolant:
-    """The conditional state of a single-mode chain as one entire
-    function of z = alpha*.
-
-    The fit of ``_derivatives``: with c the mean of z over the chain,
-    w = z - c and beta = conj(c),
-
-        Phi(z) ~ e^{beta w} sum_{n<K} c_n w^n / sqrt(n!),  K = _FIT_TERMS,
-
-    least-squares fitted to the stored states, with the same Cholesky
-    solve and ``lstsq`` fallback. ``residual`` is the median over the
-    chain of ||Phi(alpha_k*) - phi_k|| / ||phi_k||. ``values`` evaluates
-    Phi at many points and ``log_weights`` the weight it defines there;
-    ``phi_at`` evaluates Phi at one point on Python scalars (Horner over
-    the K terms of each component).
-    """
-
-    def __init__(self, alphas: np.ndarray, phis: np.ndarray):
-        alphas = np.asarray(alphas, dtype=complex)
-        phis = np.asarray(phis, dtype=complex)
-        n, d = phis.shape
-        z = alphas[:, 0].conj()
-        center = z.mean()
-        w = z - center
-        beta = center.conjugate()
-        block = np.empty((_FIT_TERMS + d, n), dtype=complex)
-        block[0] = 1.0
-        for m in range(1, _FIT_TERMS):
-            np.multiply(block[m - 1], w / _SQRT[m], out=block[m])
-        np.divide(phis.T, np.exp(beta * w), out=block[_FIT_TERMS:])
-        coef = _fit_coefficients(block, _FIT_TERMS)
-        # power-series coefficients of each component, highest first
-        self._horner = (coef / _SQRT_FACTORIAL[:, None]).T[:, ::-1].copy()
-        self._rows = self._horner.tolist()
-        self._center, self._beta = complex(center), complex(beta)
-        misfit = np.linalg.norm(self.values(alphas) - phis, axis=1)
-        self.residual = float(np.median(misfit / np.linalg.norm(phis, axis=1)))
-
-    def values(self, alphas):
-        """Phi at every row of ``alphas`` (shape (N, 1)); shape (N, d)."""
-        w = np.conj(alphas[:, 0]) - self._center
-        acc = np.tile(self._horner[:, 0], (w.shape[0], 1))
-        for a in self._horner.T[1:]:
-            acc *= w[:, None]
-            acc += a
-        acc *= np.exp(self._beta * w)[:, None]
-        return acc
-
-    def phi_at(self, alpha):
-        """Phi at the point whose coordinates are ``alpha`` (length 1).
-
-        The package itself evaluates the fit through ``values``; this
-        scalar form stays because the benchmark's tracer
-        (``bench/tracer.py``) wraps it as its ``chain.interp`` target."""
-        w = alpha.tolist()[0].conjugate() - self._center
-        carrier = cmath.exp(self._beta * w)
-        out = []
-        for row in self._rows:
-            acc = row[0]
-            for a in row[1:]:
-                acc = acc * w + a
-            out.append(carrier * acc)
-        return np.array(out)
-
-    def log_weights(self, alphas):
-        """log of e^{-|alpha|^2} ||Phi(alpha*)||^2 at every row of
-        ``alphas`` (shape (N, 1)); -inf where Phi vanishes or is not
-        finite."""
-        n2 = _norms2(self.values(alphas))
-        ok = (n2 > 0.0) & (n2 < math.inf)
-        out = np.full(n2.shape, -math.inf)
-        out[ok] = np.log(n2[ok]) - np.abs(alphas[ok, 0]) ** 2
-        return out
 
 
 def reformat(chain: ChainState, params: SamplerParams, rng,
@@ -720,10 +707,11 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
         raise DimensionMismatch(
             f"reformat is single-mode; got {chain.n_modes} modes")
     interp = BargmannInterpolant(chain.alphas, chain.phis)
-    if not interp.residual <= _FIT_RESIDUAL_LIMIT:
+    residual = interp.residual
+    if not residual <= _FIT_RESIDUAL_LIMIT:
         raise InterpolationDegraded(
             f"the fitted conditional state misses the stored states by a "
-            f"median relative residual of {interp.residual:.3e} (> "
+            f"median relative residual of {residual:.3e} (> "
             f"{_FIT_RESIDUAL_LIMIT:g}); the chain no longer samples one "
             f"entire function")
     if observables is None:

@@ -54,12 +54,6 @@ blocks of 8192 and are handed out as Python numbers. Every numpy step
 whose rounding Python's would not match (the proposal scale's exp
 factors, the cap test) is still done by numpy, a chunk of draws at a
 time, so a given generator state gives the same chain bit for bit.
-
-The walk can use a closed-form weight: ``log_weight_from_phi`` returns
-``phi.log_weight`` when phi carries one (``coherent_bargmann`` does:
-log ||atomic||^2 - |alpha - alpha0|^2). It rounds differently from the
-generic closure (by ~1e-15), so a Metropolis decision could flip only
-if a uniform draw fell that close to its threshold.
 """
 
 import math
@@ -207,11 +201,8 @@ class _Walker:
 
 
 def log_weight_from_phi(phi, n_modes):
-    """Log of e^{-|alpha|^2} ||phi(alpha*)||^2: ``phi.log_weight`` when
-    phi carries its closed form, otherwise a closure that evaluates phi."""
-    exact = getattr(phi, "log_weight", None)
-    if exact is not None:
-        return exact
+    """Log of e^{-|alpha|^2} ||phi(alpha*)||^2, as a closure that
+    evaluates phi at one point."""
 
     def logw(alpha):
         v = phi(np.conj(alpha))

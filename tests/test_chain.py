@@ -1,10 +1,12 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import semichain as sc
+from semichain import chain as chain_module
 from semichain.chain import (_FIT_RESIDUAL_LIMIT, _FIT_TERMS,
                              BargmannInterpolant, ChainState, _derivatives)
 from semichain.checkpoint import save_checkpoint
@@ -465,8 +467,6 @@ def test_chain_quality_uniform_synthetic():
     assert q.min_increment[0] == pytest.approx(0.01)
     assert q.mean_increment[0] == pytest.approx(0.01)
     assert q.n_duplicate_pairs == 0 and q.n_degenerate_pairs == 0
-    assert not q.needs_reformat(step_cap=0.01)
-    assert q.needs_reformat(step_cap=0.004)
 
 
 def test_chain_quality_two_point():
@@ -502,7 +502,6 @@ def test_chain_quality_flags_degenerate_pairs():
     phis = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     q = sc.chain_quality(ChainState(time=0.0, alphas=alphas, phis=phis))
     assert q.n_degenerate_pairs == 1
-    assert q.needs_reformat(step_cap=1.0)
 
 
 # ---------------------------------------------------------------- reformat
@@ -603,7 +602,7 @@ def test_reformat_carries_states_of_the_fitted_class_exactly():
     out = sc.reformat(chain, params, rng, gate_factor=math.inf)
     assert not np.array_equal(out.alphas, chain.alphas)
     assert np.max(_rel_err(out.phis, phi(out.alphas))) <= 1e-10
-    # the walk's weight and the scalar evaluation use the same fit
+    # the walk's weight and ``phi_at`` read the same fit as ``values``
     interp = BargmannInterpolant(chain.alphas, chain.phis)
     some = out.alphas[:50]
     ref = interp.values(some)
@@ -752,6 +751,19 @@ def test_fit_gives_a_repeated_row_its_originals_derivative():
     assert np.max(_rel_err(d, exact)) <= 1e-10
 
 
+def test_one_fit_serves_the_update_and_reformat(jc_spec):
+    # the derivative the update reads is the z-derivative of the values
+    # that reformat reads: a central difference of ``values`` in
+    # z = alpha* (alpha +- h moves z by +-h) matches ``derivative()``
+    ch, _, _ = _evolved_chain(jc_spec, 7, n=2000, steps=500)
+    fit = BargmannInterpolant(ch.alphas, ch.phis)
+    deriv = fit.derivative()
+    assert np.array_equal(_derivatives(ch.alphas, ch.phis), deriv)
+    h = 1e-4
+    diff = (fit.values(ch.alphas + h) - fit.values(ch.alphas - h)) / (2 * h)
+    assert np.max(_rel_err(diff, deriv.T)) <= 1e-7
+
+
 @pytest.mark.parametrize("case", ["coincident pair", "fully duplicate",
                                   "five points", "seven points"])
 def test_fit_falls_back_to_lstsq_on_degenerate_chains(case):
@@ -793,6 +805,45 @@ def test_step_keeps_each_state_on_the_oracle(jc_spec, seed):
     err = _rel_err(ch.phis, bargmann_values(st, ch.alphas[:, 0].conj()))
     assert np.median(err) <= 1e-4
     assert np.max(err) <= 2e-4
+
+
+def _lowered(state):
+    """The single-mode oracle state with Fock amplitudes psi_{n+1}
+    sqrt(n+1): its conditional state is dPhi_t/dz of the original's."""
+    amps = state.amplitudes
+    return SimpleNamespace(
+        amplitudes=amps[:, 1:] * np.sqrt(np.arange(1, amps.shape[1])))
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_euler_with_the_exact_derivative_stays_on_the_oracle(
+        jc_spec, monkeypatch, seed):
+    # the fit replaced by the oracle's exact dPhi_t/dz at the time of
+    # each step, with the oracle advanced by the same eps: what remains
+    # is the error of transport and of the Euler step alone. Seeds
+    # 100-109 gave a median of 4.2e-4 to 4.4e-4 and a max of 7.2e-4 to
+    # 8.5e-4, so the bounds leave a margin of 1.35x and 1.4x. Counting
+    # the calls pins that ``_rates`` looks ``_derivatives`` up at call
+    # time
+    eps, n_steps = 1e-2, 100
+    oracle = [sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [24],
+                               tail_threshold=1e-8)]
+    calls = []
+
+    def exact(alphas, phis, workspace=None):
+        calls.append(oracle[0].time)
+        return bargmann_values(_lowered(oracle[0]), alphas[:, 0].conj()).T
+
+    monkeypatch.setattr(chain_module, "_derivatives", exact)
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    ch = sc.initial_chain(phi0, 1, 500, 0.45, np.random.default_rng(seed))
+    for _ in range(n_steps):
+        ch = sc.step(ch, jc_spec, eps)
+        oracle[0] = sc.evolve(oracle[0], jc_spec, eps, tail_threshold=1e-8)
+    assert calls == pytest.approx(eps * np.arange(n_steps))
+    err = _rel_err(ch.phis, bargmann_values(oracle[0], ch.alphas[:, 0].conj()))
+    assert np.median(err) <= 6e-4
+    assert np.max(err) <= 1.2e-3
 
 
 @pytest.mark.parametrize("seed", [3, 5])
