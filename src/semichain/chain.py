@@ -17,19 +17,18 @@ by the point's own motion, which keeps each stored state equal to the
 conditional state at its point's current position. Since every stored
 state samples one entire function of alpha*, one least-squares fit over
 the whole chain (``BargmannInterpolant``) gives that function: K = 8
-displaced number states around the cloud's centre, solved by Cholesky,
-with a minimum-norm ``lstsq`` fallback for chains too degenerate to
-factor. The update reads the fit's derivative dphi/dalpha*, and
-``reformat`` carries the states over by the same fit's values. The
-update is single-mode; ``step`` rejects chains with more than one mode.
+displaced number states around the cloud's centre, factored by
+Cholesky, with a minimum-norm ``lstsq`` fallback for chains too
+degenerate to factor. The update reads the fit's derivative
+dphi/dalpha*, and ``reformat`` carries the states over by the same
+fit's values. The update is single-mode; ``step`` rejects chains with
+more than one mode.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpotrf, zpotrs
 
 from .errors import (DegenerateIncrement, DimensionMismatch,
                      InterpolationDegraded, SamplerStuck,
@@ -84,14 +83,15 @@ class ChainState:
         if phis.shape[0] != n:
             raise DimensionMismatch("alphas and phis must have one row per point")
         flat = phis.view(float)
-        if not (np.all(np.isfinite(alphas.view(float)))
-                and np.all(np.isfinite(flat))):
+        if not (np.isfinite(alphas.view(float)).all()
+                and np.isfinite(flat).all()):
             raise DimensionMismatch("chain entries must be finite")
-        if np.any(np.einsum("ki,ki->k", flat, flat) == 0.0):
+        if (np.einsum("ki,ki->k", flat, flat) == 0.0).any():
             raise ZeroNormConditionalState("chain contains a zero conditional state")
         starts = self.segment_starts
         starts = np.array([0] if starts is None else starts, dtype=int)
-        if starts[0] != 0 or np.any(np.diff(starts) < 2) or starts[-1] > n - 2:
+        if (starts[0] != 0 or (starts[1:] - starts[:-1] < 2).any()
+                or starts[-1] > n - 2):
             raise DimensionMismatch("segments must start at 0 and hold >= 2 points each")
         alphas.setflags(write=False)
         phis.setflags(write=False)
@@ -215,6 +215,10 @@ _FIT_TERMS = 8
 # squared norm means the fit's columns are numerically dependent.
 _PIVOT_FLOOR = 1e-8
 _SQRT = np.sqrt(np.arange(_FIT_TERMS))
+# 1 / sqrt(m!): the basis rows hold the bare powers w^m, and this
+# normalization is applied to the K x K and K x d arrays instead.
+_NORM = np.array([1.0 / math.sqrt(math.factorial(m))
+                  for m in range(_FIT_TERMS)])
 
 
 class _Workspace:
@@ -231,28 +235,38 @@ class _Workspace:
     set small:
 
     - "scratch": the fit's stacked block (its basis rows, then the
-      states it fits), which ``derivative()`` reads; then the products
-      of ``_rates``;
-    - "carrier": the fit's e^{beta w} at the chain's points;
-    - "deriv": the fit's derivative, then the last product of
-      ``_rates``;
-    - "rates_phis": the squared states, then j phi.
+      states it fits), which ``derivative()`` reads; then the state
+      rates that ``_rates`` returns;
+    - "carrier": the fit's e^{beta w} at the chain's points, then the
+      per-point factors of ``_rates``;
+    - "exp_parts": the real factors of the fit's carrier;
+    - "deriv": the inverse of the fit's carrier, then the conjugated
+      basis rows of its normal equations, then its derivative, then a
+      product of ``_rates``;
+    - "rates_phis": the squared states, then j phi, then a product of
+      ``_rates``.
     """
 
     def __init__(self, n, d):
         self.key = (n, d)
         self._flat = {}
+        self._views = {}
 
     def array(self, name, shape, dtype=complex):
-        """A C-contiguous array of ``shape`` at the start of the flat
-        buffer ``name``, which grows to fit; arrays of one name share
-        memory."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        flat = self._flat.get(name)
-        if flat is None or flat.size < nbytes:
-            flat = self._flat[name] = np.empty(nbytes, np.uint8)
-        return flat[:nbytes].view(dtype).reshape(shape)
+        """A C-contiguous array of ``shape`` (a tuple) at the start of the
+        flat buffer ``name``, which grows to fit; arrays of one name share
+        memory. The view is made once per (name, shape, dtype)."""
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            flat = self._flat.get(name)
+            if flat is None or flat.size < nbytes:
+                flat = self._flat[name] = np.empty(nbytes, np.uint8)
+                self._views = {k: v for k, v in self._views.items()
+                               if k[0] != name}
+            view = self._views[key] = flat[:nbytes].view(dtype).reshape(shape)
+        return view
 
 
 def _workspace_for(workspace, n, d):
@@ -262,11 +276,17 @@ def _workspace_for(workspace, n, d):
     return _Workspace(n, d)
 
 
-def _fill_basis(alphas, basis, carrier, center=None):
-    """The fit's columns at the points ``alphas`` (shape (N, 1)): the rows
-    w^m / sqrt(m!) of w = alpha* - center into ``basis`` (K, N), and
-    e^{beta w} with beta = conj(center) into ``carrier`` (N,). A None
-    ``center`` is the mean of alpha*; returns the center used."""
+def _fill_basis(alphas, basis, carrier, parts, inverse=None, center=None):
+    """The fit's columns at the points ``alphas`` (shape (N, 1)): the
+    powers w^m of w = alpha* - center into the rows of ``basis`` (K, N),
+    and e^{beta w} with beta = conj(center) into ``carrier`` (N,), and
+    e^{-beta w} into ``inverse`` if it is given. A None ``center`` is the
+    mean of alpha*; returns the center used.
+
+    The exponentials are built from the real exponential, cosine and
+    sine of beta w (``parts``, shape (2, N), holds two of them), which
+    is quicker than numpy's complex exponential and a complex division.
+    """
     w = np.conjugate(alphas[:, 0], out=basis[1])
     if center is None:
         center = w.mean()
@@ -274,15 +294,24 @@ def _fill_basis(alphas, basis, carrier, center=None):
     basis[0] = 1.0
     for m in range(2, _FIT_TERMS):
         np.multiply(basis[m - 1], w, out=basis[m])
-        basis[m] *= 1.0 / _SQRT[m]
-    np.exp(np.multiply(center.conjugate(), w, out=carrier), out=carrier)
+    u = np.multiply(center.conjugate(), w, out=carrier)
+    modulus, sine = parts
+    np.exp(u.real, out=modulus)
+    np.sin(u.imag, out=sine)
+    np.cos(u.imag, out=u.real)
+    if inverse is not None:
+        np.divide(u.real, modulus, out=inverse.real)
+        np.divide(sine, modulus, out=inverse.imag)
+        np.negative(inverse.imag, out=inverse.imag)
+    np.multiply(sine, modulus, out=u.imag)
+    u.real *= modulus
     return center
 
 
 def _evaluate(coef, basis, carrier, out):
     """e^{beta w} sum_m coef_m w^m / sqrt(m!) on the columns that
     ``_fill_basis`` made, component-major (d, N), into ``out``."""
-    np.matmul(coef.T, basis, out=out)
+    np.matmul(coef.T * _NORM, basis, out=out)
     out *= carrier
     return out
 
@@ -306,12 +335,13 @@ class BargmannInterpolant:
 
     A coherent state is the n = 0 term alone, and the columns are
     orthonormal under the unit complex Gaussian that a coherent start
-    samples, so the K x K normal equations are well conditioned and are
-    solved by Cholesky. A Metropolis repeat is just a repeated row. If
-    the factorization fails, or a pivot shows numerically dependent
-    columns (fewer than K distinct points, a fully duplicate chain), the
-    same rows are solved by ``np.linalg.lstsq``, whose minimum-norm
-    solution keeps the fit finite.
+    samples, so the K x K normal equations are well conditioned: they are
+    factored by ``np.linalg.cholesky`` and solved by ``np.linalg.solve``.
+    A Metropolis repeat is just a repeated row. If the factorization
+    fails, or a pivot shows numerically dependent columns (fewer than K
+    distinct points, a fully duplicate chain), the same rows are solved
+    by ``np.linalg.lstsq``, whose minimum-norm solution keeps the fit
+    finite.
 
     ``coef`` holds the c_n, shape (K, d). The update reads
     ``derivative()`` (through ``_derivatives``); ``reformat`` reads
@@ -330,9 +360,13 @@ class BargmannInterpolant:
         block = self._ws.array("scratch", (_FIT_TERMS + d, n))
         self._basis = block[:_FIT_TERMS]
         self._carrier = self._ws.array("carrier", (n,))
-        self._center = _fill_basis(alphas, self._basis, self._carrier)
-        np.divide(phis.T, self._carrier, out=block[_FIT_TERMS:])
-        self.coef = _fit_coefficients(block, _FIT_TERMS)
+        inverse = self._ws.array("deriv", (n,))
+        self._center = _fill_basis(alphas, self._basis, self._carrier,
+                                   self._ws.array("exp_parts", (2, n), float),
+                                   inverse)
+        np.multiply(phis.T, inverse, out=block[_FIT_TERMS:])
+        self.coef = _fit_coefficients(
+            block, _FIT_TERMS, self._ws.array("deriv", (_FIT_TERMS, n)))
 
     def derivative(self):
         """dPhi/dz at the chain's own points, shape (d, N), as a view of
@@ -349,7 +383,8 @@ class BargmannInterpolant:
         n = alphas.shape[0]
         basis = np.empty((_FIT_TERMS, n), dtype=complex)
         carrier = np.empty(n, dtype=complex)
-        _fill_basis(alphas, basis, carrier, self._center)
+        _fill_basis(alphas, basis, carrier, np.empty((2, n)),
+                    center=self._center)
         out = np.empty((self.coef.shape[1], n), dtype=complex)
         return _evaluate(self.coef, basis, carrier, out).T
 
@@ -390,21 +425,27 @@ def _derivatives(alphas, phis, workspace=None):
     return BargmannInterpolant(alphas, phis, workspace).derivative()
 
 
-def _fit_coefficients(block, k):
+def _fit_coefficients(block, k, conj):
     """Least-squares coefficients, shape (k, d), of the rows
-    ``block[k:]`` in the basis rows ``block[:k]``.
+    ``block[k:]`` in the basis rows ``_NORM[:k, None] * block[:k]``.
 
-    One Hermitian rank-N update gives the Gram matrix and the right-hand
-    sides together, from the block in place.
+    One product of the whole block with the conjugated basis rows
+    (written into ``conj``, shape (k, N)) gives the Gram matrix and the
+    right-hand sides together, transposed; both are normalized
+    afterwards.
     """
-    normal = zherk(1.0, block.T, trans=2)  # upper triangle of conj(B) B^T
-    gram, rhs = normal[:k, :k], normal[:k, k:]
-    factor, info = zpotrf(gram)
-    if info == 0 and np.all(factor.diagonal().real ** 2
-                            > _PIVOT_FLOOR * gram.diagonal().real):
-        coef, _ = zpotrs(factor, rhs)
-        return coef
-    return np.linalg.lstsq(block[:k].T, block[k:].T, rcond=None)[0]
+    normal = np.matmul(block, np.conjugate(block[:k], out=conj).T).T
+    normal *= _NORM[:k, None]
+    gram, rhs = normal[:, :k], normal[:, k:]
+    gram *= _NORM[:k]
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        factor = None
+    if factor is not None and (factor.diagonal().real ** 2
+                               > _PIVOT_FLOOR * gram.diagonal().real).all():
+        return np.linalg.solve(gram, rhs)
+    return np.linalg.lstsq(block[:k].T * _NORM[:k], block[k:].T, rcond=None)[0]
 
 
 def _rates(alphas, phis, spec, t, workspace=None):
@@ -419,8 +460,7 @@ def _rates(alphas, phis, spec, t, workspace=None):
     norms2 = ws.array("rates_norms2", (n,), float)
     # the squares of the states go where j phi goes next
     jphi = ws.array("rates_phis", (d, n))
-    np.square(phis.real, out=jphi.real)
-    np.square(phis.imag, out=jphi.imag)
+    np.square(phis.view(float), out=jphi.view(float))
     np.sum(np.add(jphi.real, jphi.imag, out=jphi.real), axis=0, out=norms2)
     if not norms2.all():
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
@@ -433,13 +473,15 @@ def _rates(alphas, phis, spec, t, workspace=None):
     np.sum(np.multiply(np.conjugate(phis, out=tmp), jphi, out=tmp), axis=0,
            out=v)
     v /= norms2
-    # term = conj(alpha) j phi + j^dag deriv - conj(v) deriv, in place of
-    # j phi; the last product goes in place of deriv
-    term = np.multiply(np.conjugate(alphas[0], out=tmp[0]), jphi, out=jphi)
-    term += np.matmul(j.conj().T, deriv, out=tmp)
-    term -= np.multiply(np.conjugate(v, out=tmp[0]), deriv, out=deriv)
+    # -i (j^dag deriv - conj(v) deriv + conj(alpha) j phi), with the -i
+    # taken into each factor; the products go in place of deriv and j phi
+    factor = ws.array("carrier", (n,))  # the fit is done with it too
+    term = np.matmul(-1j * j.conj().T, deriv, out=tmp)
+    np.multiply(1j, np.conjugate(v, out=factor), out=factor)
+    term += np.multiply(factor, deriv, out=deriv)
+    np.multiply(-1j, np.conjugate(alphas[0], out=factor), out=factor)
+    term += np.multiply(factor, jphi, out=jphi)
     np.multiply(-1j, v, out=v)
-    np.multiply(-1j, term, out=term)
     return a_dot, term
 
 
@@ -591,7 +633,7 @@ def coherent_bargmann(alpha0, atomic):
 
     def phi0(alpha_star):
         alpha_star = np.atleast_1d(np.asarray(alpha_star, dtype=complex))
-        return np.exp(np.sum(alpha_star * alpha0) + offset) * atomic
+        return np.exp((alpha_star * alpha0).sum() + offset) * atomic
 
     def values(alphas):
         return (np.exp(np.sum(np.conj(alphas) * alpha0, axis=1) + offset)[:, None]
@@ -607,7 +649,8 @@ def coherent_bargmann(alpha0, atomic):
     return phi0
 
 
-def initial_chain(phi0, n_modes: int, n_points: int, step_cap: float, rng,
+def initial_chain(phi0, n_modes: int, n_points: int,
+                  step_cap: float | None = None, rng=None,
                   params: SamplerParams | None = None,
                   start=None, time: float = 0.0,
                   lineage: tuple = ("sampled",)) -> ChainState:
@@ -615,20 +658,26 @@ def initial_chain(phi0, n_modes: int, n_points: int, step_cap: float, rng,
     and attach phi0 at the sampled points.
 
     A phi0 that carries ``draw`` (a coherent start, ``coherent_bargmann``)
-    is sampled exactly: its ``n_points`` points are iid, from one draw,
-    and are split into the segments of ``params.segment_len``. No
-    Metropolis walk runs, so ``start``, the burn-in and the step cap
-    play no part, and no point repeats another. Any other phi0 callable
-    is sampled by the Metropolis sampler (``sample_positions``), which
-    walks from ``start`` (the origin if None). The states come from
-    ``phi0.values`` when phi0 carries it, otherwise from one call per
-    point.
+    is sampled exactly: its ``n_points`` points are iid, from one draw
+    of ``rng``, and are split into the segments of ``params.segment_len``.
+    No Metropolis walk runs, so ``start``, the burn-in and the step cap
+    play no part (``step_cap`` may be left out), and no point repeats
+    another. Any other phi0 callable is sampled by the Metropolis sampler
+    (``sample_positions``), which walks from ``start`` (the origin if
+    None) with the step cap of ``step_cap`` or ``params``. The states
+    come from ``phi0.values`` when phi0 carries it, otherwise from one
+    call per point.
     """
-    if params is None:
-        params = SamplerParams(step_cap=step_cap)
-    elif params.step_cap != step_cap:
-        raise ValueError("params.step_cap disagrees with step_cap")
+    if rng is None:
+        raise TypeError("initial_chain needs a random generator, rng")
     draw = getattr(phi0, "draw", None)
+    if params is None:
+        if step_cap is None and draw is None:
+            raise ValueError("the Metropolis sampler needs a step_cap")
+        params = (SamplerParams() if step_cap is None
+                  else SamplerParams(step_cap=step_cap))
+    elif step_cap is not None and params.step_cap != step_cap:
+        raise ValueError("params.step_cap disagrees with step_cap")
     if draw is not None:
         if n_points < 2:
             raise ValueError("a chain needs at least 2 points")

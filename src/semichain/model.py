@@ -42,14 +42,15 @@ class ModelSpec:
 
     Construction validates Hermiticity of ``h0`` and the shape of every
     mode current; instances are immutable afterwards. The eigenbasis of
-    ``h0`` is precomputed once so that rotated currents are cheap in the
-    per-step hot path.
+    ``h0``, and every current in it, is precomputed once so that rotated
+    currents are cheap in the per-step hot path.
     """
 
     h0: np.ndarray
     modes: tuple
     _evals: np.ndarray = field(init=False, repr=False, compare=False)
     _evecs: np.ndarray = field(init=False, repr=False, compare=False)
+    _eig_currents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h0 = as_operator(self.h0)
@@ -68,6 +69,8 @@ class ModelSpec:
         object.__setattr__(self, "modes", modes)
         object.__setattr__(self, "_evals", evals)
         object.__setattr__(self, "_evecs", evecs)
+        object.__setattr__(self, "_eig_currents",
+                           tuple(evecs.conj().T @ m.j @ evecs for m in modes))
 
     @property
     def d(self) -> int:
@@ -97,11 +100,12 @@ def rotated_currents(spec: ModelSpec, t: float) -> list[np.ndarray]:
     modulus.
     """
     u = spec._evecs
+    u_dag = u.conj().T
     phases = np.exp(1j * spec._evals * t)
     out = []
-    for mode in spec.modes:
-        core = (phases[:, None] * (u.conj().T @ mode.j @ u)) * phases.conj()[None, :]
-        out.append(np.exp(1j * mode.omega * t) * (u @ core @ u.conj().T))
+    for mode, j_eig in zip(spec.modes, spec._eig_currents):
+        core = (phases[:, None] * j_eig) * phases.conj()[None, :]
+        out.append(np.exp(1j * mode.omega * t) * (u @ core @ u_dag))
     return out
 
 

@@ -7,19 +7,19 @@ solves the interaction-picture equation
     dPsi/dt = -i sum_n ( j_n(t) a_n^dag + j_n(t)^dag a_n ) Psi
 
 exactly on the truncated space: the time dependence is the free
-rotation exp(i (H0 + sum_n omega_n N_n) t) of one fixed sparse
-Hamiltonian, whose exponential action is taken in a single call to
-``scipy.sparse.linalg.expm_multiply``. Everything the
+rotation exp(i (H0 + sum_n omega_n N_n) t) of one fixed Schrodinger-frame
+Hamiltonian H_S, whose exponential action is a Chebyshev expansion
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) with H_S applied
+matrix-free to the amplitude array. Everything the
 semiclassical chain claims to reproduce is computed here exactly
 (within truncation): coherent-state amplitudes, the phase-space density,
-Bargmann projections, and antinormally ordered expectations.
+Bargmann projections, and antinormally ordered expectations. The module
+needs numpy alone.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import DimensionMismatch, TailMassExceeded
 from .hilbert import as_state
@@ -139,7 +139,8 @@ def _apply_raise(amps: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _atomic_apply(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    return np.tensordot(mat, amps, axes=(1, 0))
+    """An atomic operator on the first axis of composite amplitudes."""
+    return (mat @ amps.reshape(amps.shape[0], -1)).reshape(amps.shape)
 
 
 def _rhs(spec: ModelSpec, t: float, amps: np.ndarray) -> np.ndarray:
@@ -168,26 +169,84 @@ def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _schrodinger_hamiltonian(spec: ModelSpec, levels: tuple) -> sparse.csr_matrix:
-    """Sparse H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n).
+def _hamiltonian(spec: ModelSpec, levels: tuple):
+    """H_S = H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n) as a
+    matrix-free map on composite amplitudes of mode sizes ``levels``,
+    together with an interval that holds its whole spectrum.
 
-    Built on the truncated product space with the atomic factor first,
-    matching the C-order flattening of the amplitude array.
+    The interval adds, by Weyl's inequality, the spectral range of every
+    term: the eigenvalues of h0, [0, omega_n cutoff_n] for each number
+    term and +-2 ||J_n|| sqrt(cutoff_n) for each coupling, since
+    ||a_n|| = sqrt(cutoff_n) on the truncated space.
     """
-    def embed(atomic, mode=None, field=None):
-        out = sparse.csr_matrix(atomic)
-        for n, size in enumerate(levels):
-            factor = field if n == mode else sparse.identity(size, format="csr")
-            out = sparse.kron(out, factor, format="csr")
+    lo, hi = float(spec._evals[0]), float(spec._evals[-1])
+    number = np.zeros((1,) + tuple(levels))
+    for n, (mode, size) in enumerate(zip(spec.modes, levels)):
+        shape = [1] * number.ndim
+        shape[n + 1] = size
+        number = number + mode.omega * np.arange(size).reshape(shape)
+        top = mode.omega * (size - 1)
+        reach = 2.0 * np.linalg.norm(mode.j, 2) * np.sqrt(size - 1)
+        lo += min(top, 0.0) - reach
+        hi += max(top, 0.0) + reach
+    currents = [(mode.j, mode.j.conj().T) for mode in spec.modes]
+
+    def apply(amps):
+        out = _atomic_apply(spec.h0, amps)
+        out += number * amps
+        for n, (j, j_dag) in enumerate(currents):
+            out += _atomic_apply(j, _apply_raise(amps, n))
+            out += _atomic_apply(j_dag, _apply_lower(amps, n))
         return out
 
-    h = embed(spec.h0)
-    for n, (mode, size) in enumerate(zip(spec.modes, levels)):
-        number = sparse.diags(np.arange(size, dtype=float))
-        raise_ = sparse.diags(np.sqrt(np.arange(1, size, dtype=float)), -1)
-        h = h + embed(mode.omega * np.eye(spec.d), n, number) \
-            + embed(mode.j, n, raise_) + embed(mode.j.conj().T, n, raise_.T)
-    return h.tocsr()
+    return apply, lo, hi
+
+
+# Chebyshev terms whose coefficient is below this are dropped; the
+# expansion is cut at the first such term past the order |z| where the
+# Bessel coefficients start to decay monotonically.
+_CHEB_TOL = 1e-16
+
+
+def _chebyshev_coefficients(z: float) -> np.ndarray:
+    """(-i)^k J_k(z) for k = 0, 1, ... until they fall below
+    ``_CHEB_TOL``: by the Jacobi-Anger expansion
+    e^{-i z cos t} = sum_k (2 - delta_k0) (-i)^k J_k(z) cos(k t), they
+    are the discrete Fourier coefficients of e^{-i z cos t}, sampled
+    finely enough that aliasing stays below rounding."""
+    size = 64
+    while size < 2 * (abs(z) + 16 * abs(z) ** (1 / 3) + 32):
+        size *= 2
+    theta = 2 * np.pi * np.arange(size) / size
+    coef = np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:size // 2] / size
+    tiny = np.abs(coef) < _CHEB_TOL
+    tiny[:int(abs(z)) + 2] = False  # every term up to order |z|, and two
+    return coef[:int(np.argmax(tiny))] if tiny.any() else coef
+
+
+def _propagate(spec: ModelSpec, psi: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H_S dt) psi by its Chebyshev expansion (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984).
+
+    With H_S's spectrum inside [lo, hi], centre c and half-width r,
+    exp(-i H_S dt) = e^{-i c dt} sum_k (2 - delta_k0) (-i)^k J_k(r dt)
+    T_k((H_S - c) / r); the T_k(.) psi follow from the three-term
+    recurrence, one application of H_S each.
+    """
+    apply, lo, hi = _hamiltonian(spec, psi.shape[1:])
+    # a zero-width interval means H_S = c: any radius gives e^{-i c dt}
+    center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0
+    coef = _chebyshev_coefficients(radius * dt)
+
+    def scaled(v):  # (H_S - c) v / r
+        return (apply(v) - center * v) / radius
+
+    prev, cur = psi, scaled(psi)
+    out = coef[0] * prev + 2.0 * coef[1] * cur
+    for c in coef[2:]:
+        prev, cur = cur, 2.0 * scaled(cur) - prev
+        out += 2.0 * c * cur
+    return np.exp(-1j * center * dt) * out
 
 
 def evolve(state: FockCompositeState, spec: ModelSpec, dt: float,
@@ -201,17 +260,21 @@ def evolve(state: FockCompositeState, spec: ModelSpec, dt: float,
         Psi(t0 + dt) = R(t0 + dt) exp(-i H_S dt) R(-t0) Psi(t0).
 
     Truncation commutes with every N_n, so this is the exact propagator
-    of the truncated model; the exponential action is computed with
-    ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy & Higham 2011) at
-    double-precision tolerance.
+    of the truncated model. exp(-i H_S dt) is applied as a Chebyshev
+    expansion in (H_S - c) / r, where [c - r, c + r] bounds the spectrum
+    of H_S: the eigenvalues of h0, plus [0, omega_n cutoff_n] and
+    +-2 ||J_n|| sqrt(cutoff_n) for each mode. The bound must hold, or
+    the expansion diverges. Its coefficients are the Bessel values
+    (-i)^k J_k(r dt), and the series stops at the first term past order
+    r |dt| whose coefficient is below 1e-16; that takes about
+    r |dt| + 15 (r |dt|)^(1/3) terms, each one application of H_S.
     """
     if spec.d != state.d or spec.n_modes != state.n_modes:
         raise DimensionMismatch("state and model disagree on dimensions")
     if dt == 0.0:
         return state
     psi = _free_rotation(spec, state.amplitudes, -state.time)
-    h = _schrodinger_hamiltonian(spec, psi.shape[1:])
-    psi = expm_multiply(-1j * dt * h, psi.ravel()).reshape(psi.shape)
+    psi = _propagate(spec, psi, dt)
     y = _free_rotation(spec, psi, state.time + dt)
     nrm = np.linalg.norm(y)
     if abs(nrm - 1.0) > _NORM_TOL:

@@ -21,7 +21,6 @@ from .chain import coherent_bargmann, estimate, initial_chain, step
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, validate_config
 from .oracle import antinormal_expectation, build_initial, evolve
-from .sampling import SamplerParams
 
 CSV_HEADER = "t,observable,estimate_re,estimate_im,stderr,oracle_re,oracle_im"
 
@@ -73,13 +72,12 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
     chain_state = None
     oracle_state = None
     if config.engine in ("chain", "both"):
-        # a coherent start is drawn exactly: no walk, so the sampler's
-        # knobs keep their defaults
+        # a coherent start is drawn exactly: no walk, so no step cap
         phi0 = coherent_bargmann(config.alpha0, config.atomic)
         _log(f"sampling initial chain: N={config.chain['n_points']}")
         chain_state = initial_chain(
-            phi0, config.spec.n_modes, config.chain["n_points"],
-            SamplerParams().step_cap, rng, lineage=(f"seed={config.seed}",))
+            phi0, config.spec.n_modes, config.chain["n_points"], rng=rng,
+            lineage=(f"seed={config.seed}",))
     if config.engine in ("oracle", "both"):
         cutoffs = [config.oracle["cutoff"]] * config.spec.n_modes
         oracle_state = build_initial(config.spec, config.atomic, config.alpha0,

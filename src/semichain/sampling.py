@@ -202,14 +202,19 @@ class _Walker:
 
 def log_weight_from_phi(phi, n_modes):
     """Log of e^{-|alpha|^2} ||phi(alpha*)||^2, as a closure that
-    evaluates phi at one point."""
+    evaluates phi at one point.
+
+    The Metropolis walk calls it once per proposal on a 1-element-per-mode
+    array, so it uses array methods and Python comparisons where numpy's
+    functions would add call overhead but no different rounding.
+    """
 
     def logw(alpha):
         v = phi(np.conj(alpha))
-        n2 = float(np.real(np.vdot(v, v)))
-        if n2 <= 0.0 or not np.isfinite(n2):
-            return -np.inf
-        return float(-np.sum(np.abs(alpha) ** 2) + np.log(n2))
+        n2 = float(np.vdot(v, v).real)
+        if not 0.0 < n2 < math.inf:
+            return -math.inf
+        return float(-(np.abs(alpha) ** 2).sum() + np.log(n2))
 
     return logw
 

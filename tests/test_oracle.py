@@ -264,3 +264,50 @@ def test_evolve_raises_when_cutoff_cannot_hold_the_state():
         out = st
         for _ in range(40):
             out = sc.evolve(out, spec, 0.25)
+
+
+def test_evolve_one_long_step_equals_ten_short_ones(jc_spec):
+    # dt = 5 at cutoff 40 needs a Chebyshev series of some 200 terms;
+    # steps of 0.5 need about 40 each
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [2.0], [40])
+    long = sc.evolve(st, jc_spec, 5.0)
+    short = st
+    for _ in range(10):
+        short = sc.evolve(short, jc_spec, 0.5)
+    assert np.max(np.abs(long.amplitudes - short.amplitudes)) < 1e-12
+    assert long.time == pytest.approx(short.time)
+
+
+def _dense_interaction_propagator(h0, omega, j, cutoff, t0, dt):
+    """R(t0 + dt) exp(-i H_S dt) R(-t0) as one dense matrix, from
+    ``np.linalg.eigh`` of the Kronecker-product H_S and of the free part
+    H0 + omega N, for one mode."""
+    d, levels = h0.shape[0], cutoff + 1
+    lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
+    free = np.kron(h0, np.eye(levels)) \
+        + omega * np.kron(np.eye(d), np.diag(np.arange(float(levels))))
+    h_s = free + np.kron(j, lower.T) + np.kron(j.conj().T, lower)
+
+    def expi(h, t):  # exp(i h t)
+        w, v = np.linalg.eigh(h)
+        return (v * np.exp(1j * w * t)) @ v.conj().T
+
+    return expi(free, t0 + dt) @ expi(h_s, -dt) @ expi(free, -t0)
+
+
+@pytest.mark.parametrize("h0_scale, g, a", [(1.0, 1.2, 0.5), (20.0, 0.4, 0.1)])
+def test_evolve_detuned_non_diagonal_h0_matches_dense_propagator(pauli, h0_scale, g, a):
+    # h0 neither diagonal nor resonant with the mode, and a current that
+    # does not conserve the excitation number. In the first case the
+    # coupling, in the second h0, pushes the spectrum of H_S past the
+    # interval that the other terms alone would give, so the expansion
+    # converges only if its interval bounds every term
+    h0 = h0_scale * (pauli["x"] / 2 + 0.3 * pauli["z"] / 2)
+    j = g * pauli["minus"] + a * pauli["z"]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(1.3, j)])
+    amps = sc.build_initial(spec, [0.6, 0.8j], [0.0], [6]).amplitudes
+    st = sc.FockCompositeState(amplitudes=amps, time=0.3)
+    out = sc.evolve(st, spec, 1.7, tail_threshold=1.0)
+    u = _dense_interaction_propagator(h0, 1.3, j, 6, 0.3, 1.7)
+    ref = (u @ amps.ravel()).reshape(amps.shape)
+    assert np.max(np.abs(out.amplitudes - ref)) < 1e-12

@@ -176,6 +176,19 @@ def test_coherent_start_is_one_draw_split_into_segments():
         sc.initial_chain(phi0, 2, 1003, 0.45, np.random.default_rng(5))
 
 
+def test_coherent_start_needs_no_step_cap():
+    phi0 = sc.coherent_bargmann([0.5 - 1.2j], [1.0, 0.5j])
+    chain = sc.initial_chain(phi0, 1, 1003, rng=np.random.default_rng(5))
+    capped = sc.initial_chain(phi0, 1, 1003, 0.45, np.random.default_rng(5))
+    assert chain == capped
+    # the Metropolis walk of a plain callable does need its cap
+    with pytest.raises(ValueError, match="step_cap"):
+        sc.initial_chain(lambda a: phi0(a), 1, 100,
+                         rng=np.random.default_rng(5))
+    with pytest.raises(TypeError, match="rng"):
+        sc.initial_chain(phi0, 1, 100)
+
+
 def test_coherent_start_calls_no_weight(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("a coherent start evaluated the weight")
