@@ -1,13 +1,14 @@
 """Per-point error of the chain against the oracle, block by block.
 
-    PYTHONPATH=src python scripts/pointwise_error.py [--a0 1] [--g 0.2]
-        [--n 4000] [--eps 1e-3] [--t 5] [--integrator euler|midpoint]
-        [--seed 5] [--cutoff 40]
+    PYTHONPATH=src python scripts/pointwise_error.py [--case A|B|C|D|E|F|G]
+        [--a0 1] [--g 0.2] [--h0 0.5] [--coupling minus|x] [--omega 1]
+        [--n 4000] [--t 5] [--cutoff 40] [--eps 0.125]
+        [--integrator euler|rk4] [--seed 5]
 
-Runs the resonant two-level model (h0 = sz/2, coupling g sigma-minus,
-omega = 1, excited atom times a coherent field at a0) on the chain and
-on the truncated-Fock oracle side by side, and after every unit of time
-prints:
+Runs a two-level atom (h0 = h0 sz, coupling g sigma-minus or, with
+``--coupling x``, g sigma-x, one mode of frequency omega, excited atom
+times a coherent field at a0) on the chain and on the truncated-Fock
+oracle side by side, and after every unit of time prints:
 
 - the quantiles of the per-point error ||phi_k - Phi_t(z_k)|| /
   ||Phi_t(z_k)||, where Phi_t(z) is the oracle's conditional state at
@@ -16,6 +17,13 @@ prints:
   state is from the one the comoving update should carry;
 - the z-score |chain - oracle| / stderr of ``sz``, ``a_adag`` and
   ``sm_astar`` (``batch_count`` 32), and the worst one so far.
+
+``--case`` presets the model, N, T and oracle cutoff of one row of the
+case table in ROADMAP.md (A-E, resonant: h0 = sz/2, omega = 1, coupling
+g sigma-minus), or of two models with time-dependent currents: F,
+detuned (h0 = 0.75 sz, g = 0.3, a0 = 2), and G, counter-rotating
+(coupling 0.2 sigma-x, a0 = 1). An option given with it overrides the
+preset. The step and integrator default to the runner's (RK4 at 0.125).
 
 The cutoff must hold the evolved state: the oracle raises if its tail
 weight exceeds 1e-8. The coherent start is drawn exactly (iid points of
@@ -33,8 +41,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import numpy as np  # noqa: E402
 
 import semichain as sc  # noqa: E402
+from semichain.config import CHAIN_DEFAULTS  # noqa: E402
 from semichain.observables import Observable, mode_monomial  # noqa: E402
 from semichain.sampling import SamplerParams  # noqa: E402
+
+RESONANT = {"h0": 0.5, "coupling": "minus", "omega": 1.0}
+CASES = {
+    "A": dict(RESONANT, a0=1.0, g=0.2, n=4000, t=5, cutoff=40),
+    "B": dict(RESONANT, a0=2.0, g=0.3, n=8000, t=4, cutoff=40),
+    "C": dict(RESONANT, a0=3.0, g=0.5, n=8000, t=5, cutoff=40),
+    "D": dict(RESONANT, a0=4.0, g=0.5, n=8000, t=8, cutoff=80),
+    "E": dict(RESONANT, a0=2.0, g=1.0, n=8000, t=8, cutoff=64),
+    "F": dict(RESONANT, h0=0.75, a0=2.0, g=0.3, n=4000, t=5, cutoff=40),
+    "G": dict(RESONANT, coupling="x", a0=1.0, g=0.2, n=4000, t=5, cutoff=40),
+}
+DEFAULTS = dict(CASES["A"], eps=CHAIN_DEFAULTS["eps"],
+                integrator=CHAIN_DEFAULTS["integrator"], seed=5)
 
 
 def bargmann_values(state, z):
@@ -48,46 +70,59 @@ def bargmann_values(state, z):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--a0", type=complex, default=1.0,
+    ap.add_argument("--case", choices=sorted(CASES),
+                    help="preset model, N, T and cutoff (default: A)")
+    ap.add_argument("--a0", type=complex,
                     help="coherent amplitude of the field")
-    ap.add_argument("--g", type=float, default=0.2, help="coupling")
-    ap.add_argument("--n", type=int, default=4000, help="chain points")
-    ap.add_argument("--eps", type=float, default=1e-3, help="step length")
-    ap.add_argument("--t", type=int, default=5, help="blocks of unit time")
-    ap.add_argument("--integrator", choices=("euler", "midpoint"),
-                    default="euler")
-    ap.add_argument("--seed", type=int, default=5, help="sampler seed")
-    ap.add_argument("--cutoff", type=int, default=40, help="oracle cutoff")
-    args = ap.parse_args(argv)
+    ap.add_argument("--g", type=float, help="coupling")
+    ap.add_argument("--h0", type=float, help="coefficient of sz in h0")
+    ap.add_argument("--coupling", choices=("minus", "x"),
+                    help="current g sigma-minus or g sigma-x")
+    ap.add_argument("--omega", type=float, help="mode frequency")
+    ap.add_argument("--n", type=int, help="chain points")
+    ap.add_argument("--eps", type=float, help="step length")
+    ap.add_argument("--t", type=int, help="blocks of unit time")
+    ap.add_argument("--integrator", choices=("euler", "rk4"))
+    ap.add_argument("--seed", type=int, help="sampler seed")
+    ap.add_argument("--cutoff", type=int, help="oracle cutoff")
+    given = vars(ap.parse_args(argv))
+    case = given.pop("case")
+    args = dict(DEFAULTS, **CASES.get(case, {}))
+    args.update((k, v) for k, v in given.items() if v is not None)
+    run(**args)
 
+
+def run(a0, g, h0, coupling, omega, n, eps, t, integrator, seed,
+        cutoff):
     sz = np.diag([1.0, -1.0]).astype(complex)
     sm = np.array([[0, 0], [1, 0]], dtype=complex)
-    spec = sc.ModelSpec(h0=sz / 2, modes=[sc.FieldMode(1.0, args.g * sm)])
+    current = sm + sm.T if coupling == "x" else sm
+    spec = sc.ModelSpec(h0=h0 * sz, modes=[sc.FieldMode(omega, g * current)])
     observables = [
         sc.atomic_observable(sz, 1, name="sz"),
         Observable(f=None, poly=mode_monomial(1, 0, 1, 1), name="a_adag"),
         Observable(f=sm, poly=mode_monomial(1, 0, 0, 1), name="sm_astar"),
     ]
     atomic = [1.0, 0.0]
-    chain = sc.initial_chain(sc.coherent_bargmann([args.a0], atomic), 1,
-                             args.n, 0.45, np.random.default_rng(args.seed),
+    chain = sc.initial_chain(sc.coherent_bargmann([a0], atomic), 1,
+                             n, 0.45, np.random.default_rng(seed),
                              params=SamplerParams(step_cap=0.45,
                                                   segment_len=6))
-    oracle = sc.build_initial(spec, atomic, [args.a0], [args.cutoff],
+    oracle = sc.build_initial(spec, atomic, [a0], [cutoff],
                               tail_threshold=1e-8)
-    steps = int(round(1.0 / args.eps))
+    steps = int(round(1.0 / eps))
 
-    print(f"a0={args.a0:g} g={args.g:g} N={args.n} eps={args.eps:g} "
-          f"integrator={args.integrator} seed={args.seed} "
-          f"cutoff={args.cutoff}")
+    print(f"a0={a0:g} g={g:g} h0={h0:g}*sz coupling={coupling} "
+          f"omega={omega:g} N={n} eps={eps:g} integrator={integrator} "
+          f"seed={seed} cutoff={cutoff}")
     print("t  median_err  q90_err  q99_err  max_err  "
           + "  ".join(f"z_{ob.name}" for ob in observables)
           + "  worst_z  step_ms")
     worst = 0.0
-    for t in range(1, args.t + 1):
+    for block in range(1, t + 1):
         t0 = time.perf_counter()
         for _ in range(steps):
-            chain = sc.step(chain, spec, args.eps, integrator=args.integrator)
+            chain = sc.step(chain, spec, eps, integrator=integrator)
         step_ms = 1e3 * (time.perf_counter() - t0) / steps
         oracle = sc.evolve(oracle, spec, 1.0, tail_threshold=1e-8)
         ref = bargmann_values(oracle, chain.alphas[:, 0].conj())
@@ -99,7 +134,7 @@ def main(argv=None):
             zs.append(abs(est - sc.antinormal_expectation(oracle, ob)) / se)
         worst = max(worst, *zs)
         q50, q90, q99 = np.quantile(err, [0.5, 0.9, 0.99])
-        print(f"{t}  {q50:.2e}  {q90:.2e}  {q99:.2e}  {err.max():.2e}  "
+        print(f"{block}  {q50:.2e}  {q90:.2e}  {q99:.2e}  {err.max():.2e}  "
               + "  ".join(f"{z:.1f}" for z in zs)
               + f"  {worst:.1f}  {step_ms:.2f}", flush=True)
 

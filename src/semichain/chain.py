@@ -491,11 +491,13 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
 
     Both the phase-space move and the state update are computed from
     the pre-update snapshot and then committed together, so the cycle
-    is order-independent across points. ``integrator='midpoint'``
-    evaluates the rates a second time at a half-step snapshot. The cycle
-    runs on component-major copies of the chain arrays, in the buffers
-    of the chain's update workspace (``_Workspace``), which the returned
-    chain carries on to its own step.
+    is order-independent across points. ``integrator='euler'`` takes
+    one forward Euler step; ``integrator='rk4'`` takes one classical
+    fourth-order Runge-Kutta step, whose four rate evaluations run at
+    times t, t + eps/2, t + eps/2 and t + eps, and is what the runner
+    uses. The cycle runs on component-major copies of the chain arrays,
+    in the buffers of the chain's update workspace (``_Workspace``),
+    which the returned chain carries on to its own step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -510,13 +512,26 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     phis = ws.array("phis", (d, n))
     np.copyto(phis, chain.phis.T)
     a_dot, p_dot = _rates(alphas, phis, spec, chain.time, workspace=ws)
-    if integrator == "midpoint":
+    if integrator == "rk4":
+        stage_a = ws.array("stage_alphas", (1, n))
+        stage_p = ws.array("stage_phis", (d, n))
+        slope = ws.array("rk4_slope", (d + 1, n))
+        slope_a, slope_p = slope[:1], slope[1:]
+        slope.fill(0.0)
         half = 0.5 * eps
-        mid_a = np.multiply(half, a_dot, out=ws.array("mid_alphas", (1, n)))
-        mid_p = np.multiply(half, p_dot, out=ws.array("mid_phis", (d, n)))
-        a_dot, p_dot = _rates(np.add(alphas, mid_a, out=mid_a),
-                              np.add(phis, mid_p, out=mid_p),
-                              spec, chain.time + half, workspace=ws)
+        for reach, weight in ((half, 1 / 6), (half, 1 / 3), (eps, 1 / 3)):
+            # the next stage's input y + reach k, then k's share of the
+            # mean slope (k1 + 2 k2 + 2 k3 + k4) / 6: the rates are views
+            # of buffers that the next _rates call overwrites
+            np.add(alphas, np.multiply(reach, a_dot, out=stage_a), out=stage_a)
+            np.add(phis, np.multiply(reach, p_dot, out=stage_p), out=stage_p)
+            slope_a += np.multiply(weight, a_dot, out=a_dot)
+            slope_p += np.multiply(weight, p_dot, out=p_dot)
+            a_dot, p_dot = _rates(stage_a, stage_p, spec, chain.time + reach,
+                                  workspace=ws)
+        slope_a += np.multiply(1 / 6, a_dot, out=a_dot)
+        slope_p += np.multiply(1 / 6, p_dot, out=p_dot)
+        a_dot, p_dot = slope_a, slope_p
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
     # the updated arrays overwrite the rates; ChainState copies them out

@@ -19,9 +19,9 @@ from .observables import Monomial, Observable
 
 CHAIN_DEFAULTS = {
     "n_points": 20000,
-    "eps": 2.5e-2,
+    "eps": 0.125,
     "batch_count": 32,
-    "integrator": "midpoint",  # step() itself defaults to euler
+    "integrator": "rk4",  # step() itself defaults to euler
 }
 
 ORACLE_DEFAULTS = {
@@ -278,8 +278,9 @@ def validate_config(raw) -> RunConfig:
     for key in ("n_points", "batch_count"):
         if not _positive_int(chain_cfg[key]):
             errors.append(f"chain.{key}: must be a positive integer")
-    if chain_cfg["integrator"] not in ("euler", "midpoint"):
-        errors.append("chain.integrator: expected euler|midpoint")
+    if chain_cfg["integrator"] not in ("euler", "rk4"):
+        errors.append("chain.integrator: expected euler|rk4, got "
+                      f"{chain_cfg['integrator']!r}")
 
     oracle_cfg = dict(ORACLE_DEFAULTS)
     raw_oracle = raw.get("oracle", {})

@@ -366,7 +366,7 @@ def _sampled_chain(n=800, seed=53):
     return ch
 
 
-@pytest.mark.parametrize("integrator", ["euler", "midpoint"])
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
 def test_step_workspace_changes_nothing(jc_spec, integrator):
     # a run that carries the workspace matches, bit for bit, one that
     # builds a new workspace on every step
@@ -863,3 +863,25 @@ def test_runner_defaults_keep_each_state_on_the_oracle(jc_spec, seed):
     err = _rel_err(ch.phis, bargmann_values(st, ch.alphas[:, 0].conj()))
     assert np.median(err) <= 1e-4
     assert np.max(err) <= 2e-4
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_rk4_is_fourth_order(jc_spec, seed):
+    # criterion 1's model at N = 2000, T = 1: halving the step from 0.25
+    # to 0.125 cuts the median per-point error by 2^4 = 16 when the
+    # integrator's error dominates; the fit's own error is far below it.
+    # Seeds 100-109 gave a ratio of 15.9 to 16.1 (a second-order rule
+    # gives 3.9), so the bound of 10 leaves a margin of 1.6x
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [24],
+                          tail_threshold=1e-8)
+    st = sc.evolve(st, jc_spec, 1.0, tail_threshold=1e-8)
+    medians = []
+    for eps in (0.25, 0.125):
+        ch = sc.initial_chain(sc.coherent_bargmann([1.0], [1.0, 0.0]), 1,
+                              2000, rng=np.random.default_rng(seed))
+        for _ in range(round(1.0 / eps)):
+            ch = sc.step(ch, jc_spec, eps, integrator="rk4")
+        assert ch.time == pytest.approx(1.0)
+        medians.append(np.median(_rel_err(
+            ch.phis, bargmann_values(st, ch.alphas[:, 0].conj()))))
+    assert medians[0] >= 10.0 * medians[1]

@@ -26,8 +26,8 @@ def minimal_config(**overrides):
 
 def test_minimal_config_gets_defaults():
     cfg = validate_config(minimal_config())
-    assert cfg.chain["eps"] == 2.5e-2
-    assert cfg.chain["integrator"] == "midpoint"
+    assert cfg.chain["eps"] == 0.125
+    assert cfg.chain["integrator"] == "rk4"
     assert cfg.chain["n_points"] == 20000
     assert cfg.oracle["cutoff"] == 16
     assert cfg.record_every == cfg.t_final
@@ -84,13 +84,13 @@ def test_record_every_must_divide():
 
 def test_record_every_off_the_default_eps_names_the_default():
     raw = minimal_config()
-    raw["schedule"]["record_every"] = 0.01
+    raw["schedule"]["record_every"] = 0.1
     del raw["seed"]
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     probs = exc.value.problems
     assert any(p.startswith("schedule.record_every")
-               and "chain.eps = 0.025 (the default)" in p for p in probs)
+               and "chain.eps = 0.125 (the default)" in p for p in probs)
     assert any("seed" in p for p in probs)
     # a set eps is named without the remark, and one that divides passes
     raw = minimal_config(chain={"eps": 0.003})
@@ -177,6 +177,21 @@ def test_centered_deriv_scheme_rejected_with_other_errors():
     probs = exc.value.problems
     assert any(p.startswith("chain.deriv_scheme") for p in probs)
     assert any("seed" in p for p in probs)
+
+
+def test_midpoint_integrator_rejected_with_other_errors():
+    # RK4 replaced the midpoint rule: the old value names the allowed ones
+    raw = minimal_config(chain={"integrator": "midpoint"})
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert "chain.integrator: expected euler|rk4, got 'midpoint'" in probs
+    assert any("seed" in p for p in probs)
+    raw["seed"] = 42
+    for integrator in ("euler", "rk4"):
+        raw["chain"]["integrator"] = integrator
+        assert validate_config(raw).chain["integrator"] == integrator
 
 
 def test_multimode_chain_engine_rejected_with_other_errors():

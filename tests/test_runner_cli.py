@@ -11,7 +11,7 @@ from semichain.runner import CSV_HEADER, resume, run
 from test_config import minimal_config
 
 
-def small_config(engine="both", t_final=0.05, record_every=0.025, n_points=400,
+def small_config(engine="both", t_final=0.25, record_every=0.125, n_points=400,
                  seed=42, **chain_overrides):
     raw = minimal_config()
     raw["engine"] = engine
@@ -41,7 +41,7 @@ def test_oracle_only_free_field_constant(tmp_path):
     assert lines[0] == CSV_HEADER
     rows = [ln.split(",") for ln in lines[1:]]
     sz_rows = [r for r in rows if r[1] == "sz"]
-    assert len(sz_rows) == 3  # t = 0, 0.025, 0.05
+    assert len(sz_rows) == 3  # t = 0, 0.125, 0.25
     vals = {float(r[6]) for r in sz_rows}  # oracle_im column is index 6
     refs = [float(r[5]) for r in sz_rows]
     assert max(refs) - min(refs) < 1e-12  # constant over time
@@ -96,7 +96,7 @@ def test_checkpoint_roundtrip(tmp_path):
     data = load_checkpoint(paths["checkpoint"])
     assert data["blocks_done"] == 2
     assert data["chain"].n_points == 400
-    assert data["oracle"].time == pytest.approx(0.05)
+    assert data["oracle"].time == pytest.approx(0.25)
     assert data["rows"]
     # rng state survives the integer-as-string encoding
     rng = np.random.default_rng(0)
