@@ -3,7 +3,8 @@
     PYTHONPATH=src python scripts/pointwise_error.py [--case A|B|C|D|E|F|G]
         [--a0 1] [--g 0.2] [--h0 0.5] [--coupling minus|x] [--omega 1]
         [--n 4000] [--t 5] [--cutoff 40] [--eps 0.125]
-        [--integrator euler|rk4] [--seed 5]
+        [--integrator euler|rk4] [--derivative fit|exact] [--terms 8]
+        [--seed 5]
 
 Runs a two-level atom (h0 = h0 sz, coupling g sigma-minus or, with
 ``--coupling x``, g sigma-x, one mode of frequency omega, excited atom
@@ -25,12 +26,22 @@ detuned (h0 = 0.75 sz, g = 0.3, a0 = 2), and G, counter-rotating
 (coupling 0.2 sigma-x, a0 = 1). An option given with it overrides the
 preset. The step and integrator default to the runner's (RK4 at 0.125).
 
+Two switches take the chain's fit apart from the rest of the update:
+
+- ``--derivative exact`` replaces the fitted derivative by the oracle's
+  exact dPhi_t/dz at the time of each rate evaluation (the oracle state
+  with amplitudes psi_{n+1} sqrt(n+1)), so what remains is the error of
+  transport and of the integrator alone;
+- ``--terms K`` fits K displaced number states instead of the package's
+  8 (``chain._FIT_TERMS``).
+
 The cutoff must hold the evolved state: the oracle raises if its tail
 weight exceeds 1e-8. The coherent start is drawn exactly (iid points of
-its Gaussian weight), split into segments of 6.
+its Gaussian weight).
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -41,9 +52,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import numpy as np  # noqa: E402
 
 import semichain as sc  # noqa: E402
+from semichain import chain as chain_module  # noqa: E402
 from semichain.config import CHAIN_DEFAULTS  # noqa: E402
 from semichain.observables import Observable, mode_monomial  # noqa: E402
-from semichain.sampling import SamplerParams  # noqa: E402
+from semichain.runner import INTEGRATOR  # noqa: E402
 
 RESONANT = {"h0": 0.5, "coupling": "minus", "omega": 1.0}
 CASES = {
@@ -55,17 +67,57 @@ CASES = {
     "F": dict(RESONANT, h0=0.75, a0=2.0, g=0.3, n=4000, t=5, cutoff=40),
     "G": dict(RESONANT, coupling="x", a0=1.0, g=0.2, n=4000, t=5, cutoff=40),
 }
-DEFAULTS = dict(CASES["A"], eps=CHAIN_DEFAULTS["eps"],
-                integrator=CHAIN_DEFAULTS["integrator"], seed=5)
+DEFAULTS = dict(CASES["A"], eps=CHAIN_DEFAULTS["eps"], integrator=INTEGRATOR,
+                derivative="fit", terms=chain_module._FIT_TERMS, seed=5)
 
 
-def bargmann_values(state, z):
-    """Phi(z) of a single-mode oracle state at the points z, (len(z), d)."""
-    basis = np.empty((z.shape[0], state.amplitudes.shape[1]), dtype=complex)
+def bargmann_values(amplitudes, z):
+    """Phi(z) of single-mode oracle amplitudes (d, levels) at the points
+    z, shape (len(z), d)."""
+    basis = np.empty((z.shape[0], amplitudes.shape[1]), dtype=complex)
     basis[:, 0] = 1.0
     for n in range(1, basis.shape[1]):
         basis[:, n] = basis[:, n - 1] * z / np.sqrt(n)
-    return basis @ state.amplitudes.T
+    return basis @ amplitudes.T
+
+
+def set_fit_terms(k):
+    """Fit ``k`` terms: the chain module reads these globals per call."""
+    if k < 2:
+        raise SystemExit("--terms must be at least 2")
+    chain_module._FIT_TERMS = k
+    chain_module._SQRT = np.sqrt(np.arange(k))
+    chain_module._NORM = np.array([1.0 / math.sqrt(math.factorial(m))
+                                  for m in range(k)])
+
+
+def use_exact_derivative(oracle, spec):
+    """Replace the fitted derivative by dPhi_t/dz of the oracle state,
+    evolved from ``oracle`` to the time of each rate evaluation.
+
+    ``_rates`` looks ``_derivatives`` up at call time, and ``step`` looks
+    up ``_rates``; the wrapped ``_rates`` notes the stage time, which only
+    moves forward (RK4's stages run at t, t + eps/2, t + eps/2, t + eps).
+    """
+    rates = chain_module._rates
+    current = [oracle]
+
+    def timed_rates(alphas, phis, spec_, t, workspace=None):
+        gap = t - current[0].time
+        if gap < -1e-9:
+            raise RuntimeError(f"rate evaluation at t={t} before the oracle's "
+                               f"t={current[0].time}")
+        if gap > 1e-9:
+            current[0] = sc.evolve(current[0], spec, gap, tail_threshold=1e-8)
+        return rates(alphas, phis, spec_, t, workspace)
+
+    def exact(alphas, phis, workspace=None):
+        amps = current[0].amplitudes
+        lowered = amps[:, 1:] * np.sqrt(np.arange(1, amps.shape[1]))
+        return bargmann_values(lowered, alphas[:, 0].conj()).T
+
+    chain_module._rates = timed_rates
+    chain_module._derivatives = exact
 
 
 def main(argv=None):
@@ -83,6 +135,10 @@ def main(argv=None):
     ap.add_argument("--eps", type=float, help="step length")
     ap.add_argument("--t", type=int, help="blocks of unit time")
     ap.add_argument("--integrator", choices=("euler", "rk4"))
+    ap.add_argument("--derivative", choices=("fit", "exact"),
+                    help="the chain's fit (default) or the oracle's exact "
+                         "dPhi_t/dz")
+    ap.add_argument("--terms", type=int, help="terms K of the fit")
     ap.add_argument("--seed", type=int, help="sampler seed")
     ap.add_argument("--cutoff", type=int, help="oracle cutoff")
     given = vars(ap.parse_args(argv))
@@ -92,8 +148,8 @@ def main(argv=None):
     run(**args)
 
 
-def run(a0, g, h0, coupling, omega, n, eps, t, integrator, seed,
-        cutoff):
+def run(a0, g, h0, coupling, omega, n, eps, t, integrator, derivative,
+        terms, seed, cutoff):
     sz = np.diag([1.0, -1.0]).astype(complex)
     sm = np.array([[0, 0], [1, 0]], dtype=complex)
     current = sm + sm.T if coupling == "x" else sm
@@ -105,16 +161,17 @@ def run(a0, g, h0, coupling, omega, n, eps, t, integrator, seed,
     ]
     atomic = [1.0, 0.0]
     chain = sc.initial_chain(sc.coherent_bargmann([a0], atomic), 1,
-                             n, 0.45, np.random.default_rng(seed),
-                             params=SamplerParams(step_cap=0.45,
-                                                  segment_len=6))
+                             n, rng=np.random.default_rng(seed))
     oracle = sc.build_initial(spec, atomic, [a0], [cutoff],
                               tail_threshold=1e-8)
     steps = int(round(1.0 / eps))
+    set_fit_terms(terms)
+    if derivative == "exact":
+        use_exact_derivative(oracle, spec)
 
     print(f"a0={a0:g} g={g:g} h0={h0:g}*sz coupling={coupling} "
           f"omega={omega:g} N={n} eps={eps:g} integrator={integrator} "
-          f"seed={seed} cutoff={cutoff}")
+          f"derivative={derivative} K={terms} seed={seed} cutoff={cutoff}")
     print("t  median_err  q90_err  q99_err  max_err  "
           + "  ".join(f"z_{ob.name}" for ob in observables)
           + "  worst_z  step_ms")
@@ -125,7 +182,7 @@ def run(a0, g, h0, coupling, omega, n, eps, t, integrator, seed,
             chain = sc.step(chain, spec, eps, integrator=integrator)
         step_ms = 1e3 * (time.perf_counter() - t0) / steps
         oracle = sc.evolve(oracle, spec, 1.0, tail_threshold=1e-8)
-        ref = bargmann_values(oracle, chain.alphas[:, 0].conj())
+        ref = bargmann_values(oracle.amplitudes, chain.alphas[:, 0].conj())
         err = (np.linalg.norm(chain.phis - ref, axis=1)
                / np.linalg.norm(ref, axis=1))
         zs = []

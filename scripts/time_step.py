@@ -5,8 +5,8 @@
 
 Draws a chain on the resonant two-level model of acceptance
 criterion 1 (h0 = sz/2, coupling 0.2 sigma-minus, coherent start
-alpha0 = 1, segment_len 6), then applies ``--steps``
-update cycles and prints, for the stepping alone:
+alpha0 = 1), then applies ``--steps`` update cycles and prints, for the
+stepping alone:
 
 - ms/step: wall time per ``step`` call, as the mean over all calls and
   as the median and 20th percentile of the calls timed one by one. On
@@ -33,7 +33,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import numpy as np  # noqa: E402
 
 import semichain as sc  # noqa: E402
-from semichain.sampling import SamplerParams  # noqa: E402
 
 
 def main(argv=None):
@@ -50,9 +49,8 @@ def main(argv=None):
     sm = np.array([[0, 0], [1, 0]], dtype=complex)
     spec = sc.ModelSpec(h0=sz / 2, modes=[sc.FieldMode(1.0, 0.2 * sm)])
     phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
-    chain = sc.initial_chain(phi0, 1, args.n, 0.45,
-                             np.random.default_rng(args.seed),
-                             params=SamplerParams(step_cap=0.45, segment_len=6))
+    chain = sc.initial_chain(phi0, 1, args.n,
+                             rng=np.random.default_rng(args.seed))
 
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     ticks = [time.perf_counter()]

@@ -36,10 +36,10 @@ from .errors import (DegenerateIncrement, DimensionMismatch,
 from .hilbert import as_operator, as_state
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
-from .sampling import (SamplerParams, _complex_normals, _segment_lengths,
-                       log_weight_from_phi, move_lockstep, sample_positions)
+from .sampling import (SamplerParams, _complex_normals, log_weight_from_phi,
+                       move_lockstep, sample_positions)
 
-DEFAULT_DELTA_MIN = 1e-8
+_DELTA_MIN = 1e-8  # a smaller increment repeats a point, or has collapsed
 DEFAULT_BATCH_COUNT = 32
 _ZERO_NORM_FLOOR = 1e-14
 
@@ -48,15 +48,15 @@ _ZERO_NORM_FLOOR = 1e-14
 class ChainState:
     """Immutable chain snapshot.
 
-    ``alphas`` has shape (N, M), ``phis`` shape (N, d). The chain is a
-    concatenation of contiguous segments (``segment_starts`` holds the
+    ``alphas`` has shape (N, M), ``phis`` shape (N, d). A chain that the
+    Metropolis sampler walked is a concatenation of contiguous segments
+    with small increments within each (``segment_starts`` holds the
     first index of each); ``chain_derivative`` and ``chain_quality``
-    take differences within a segment, never across its boundaries. A
-    chain that the Metropolis sampler walked has small increments within
-    each segment; a coherent start's iid cloud keeps the same split,
-    with no small increments, and the update reads neither. ``lineage``
-    records how the chain was produced, ``n_steps`` counts update cycles
-    applied since sampling.
+    take differences within a segment, never across its boundaries. Any
+    other chain, a coherent start's iid cloud among them, is one segment
+    (``segment_starts == [0]``). The update, ``estimate`` and
+    ``reformat`` read no segments. ``lineage`` records how the chain was
+    produced, ``n_steps`` counts update cycles applied since sampling.
 
     A chain returned by ``step`` also carries the update workspace that
     its next ``step`` reuses; it is not part of the snapshot, so it
@@ -155,16 +155,15 @@ def _cond_exp_batch(phis: np.ndarray, f: np.ndarray, norms2: np.ndarray) -> np.n
     return np.einsum("ki,ki->k", phis.conj(), phis @ f.T) / norms2
 
 
-def _repeats(alphas, phis, i, delta_min):
+def _repeats(alphas, phis, i):
     """Whether point i + 1 repeats point i: the same position and, to
     rounding, the same state (a Metropolis rejection)."""
-    return bool(np.max(np.abs(alphas[i + 1] - alphas[i])) < delta_min
+    return bool(np.max(np.abs(alphas[i + 1] - alphas[i])) < _DELTA_MIN
                 and np.linalg.norm(phis[i + 1] - phis[i])
                 <= 1e-12 * (1.0 + np.linalg.norm(phis[i])))
 
 
-def chain_derivative(chain: ChainState, k: int, n: int,
-                     delta_min: float = DEFAULT_DELTA_MIN) -> np.ndarray:
+def chain_derivative(chain: ChainState, k: int, n: int) -> np.ndarray:
     """Finite-difference estimate of dphi/dalpha_n* at point k.
 
     Uses the forward neighbor for interior points and the backward one
@@ -185,13 +184,13 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     seg_first, seg_last = int(edges[seg]), int(edges[seg + 1]) - 1
     # the run of repeats that holds k, then the point on either side
     hi = k
-    while hi < seg_last and _repeats(alphas, phis, hi, delta_min):
+    while hi < seg_last and _repeats(alphas, phis, hi):
         hi += 1
     if hi < seg_last:
         partner = hi + 1
     else:
         lo = k
-        while lo > seg_first and _repeats(alphas, phis, lo - 1, delta_min):
+        while lo > seg_first and _repeats(alphas, phis, lo - 1):
             lo -= 1
         if lo == seg_first:  # the whole segment repeats point k
             return np.zeros(chain.d, dtype=complex)
@@ -199,7 +198,7 @@ def chain_derivative(chain: ChainState, k: int, n: int,
     ka, kb = min(k, partner), max(k, partner)
     dphi = phis[kb] - phis[ka]
     dstar = np.conj(alphas[kb, n] - alphas[ka, n])
-    if abs(dstar) < delta_min:
+    if abs(dstar) < _DELTA_MIN:
         if np.linalg.norm(dphi) <= 1e-12 * (1.0 + np.linalg.norm(phis[k])):
             return np.zeros(chain.d, dtype=complex)
         raise DegenerateIncrement(
@@ -593,8 +592,7 @@ class ChainQuality:
     n_segments: int
 
 
-def chain_quality(chain: ChainState,
-                  delta_min: float = DEFAULT_DELTA_MIN) -> ChainQuality:
+def chain_quality(chain: ChainState) -> ChainQuality:
     """Within-segment increment statistics and degeneracy flags. They
     describe a chain the Metropolis sampler walked; an iid cloud has no
     small increments to report on."""
@@ -607,8 +605,8 @@ def chain_quality(chain: ChainState,
     inc = np.abs(alphas[ib] - alphas[ia])  # (pairs, M)
     d_phi_norm = np.linalg.norm(phis[ib] - phis[ia], axis=1)
     tol = 1e-12 * (1.0 + np.sqrt(_norms2(phis[ia])))
-    dup = (np.max(inc, axis=1) < delta_min) & (d_phi_norm <= tol)
-    degen = np.any(inc < delta_min, axis=1) & (d_phi_norm > tol)
+    dup = (np.max(inc, axis=1) < _DELTA_MIN) & (d_phi_norm <= tol)
+    degen = np.any(inc < _DELTA_MIN, axis=1) & (d_phi_norm > tol)
     live = ~dup
     norms2 = _norms2(phis)
     zero_norm = int(np.sum(norms2 < _ZERO_NORM_FLOOR * norms2.mean()))
@@ -617,7 +615,7 @@ def chain_quality(chain: ChainState,
         max_increment=inc.max(axis=0),
         min_increment=min_inc,
         mean_increment=inc.mean(axis=0),
-        frac_below_delta_min=np.mean(inc < delta_min, axis=0),
+        frac_below_delta_min=np.mean(inc < _DELTA_MIN, axis=0),
         n_duplicate_pairs=int(np.sum(dup)),
         n_degenerate_pairs=int(np.sum(degen)),
         n_zero_norm=zero_norm,
@@ -667,32 +665,28 @@ def coherent_bargmann(alpha0, atomic):
 def initial_chain(phi0, n_modes: int, n_points: int,
                   step_cap: float | None = None, rng=None,
                   params: SamplerParams | None = None,
-                  start=None, time: float = 0.0,
-                  lineage: tuple = ("sampled",)) -> ChainState:
+                  start=None, lineage: tuple = ("sampled",)) -> ChainState:
     """Sample a chain from the weight e^{-|alpha|^2} ||phi0(alpha*)||^2
     and attach phi0 at the sampled points.
 
     A phi0 that carries ``draw`` (a coherent start, ``coherent_bargmann``)
     is sampled exactly: its ``n_points`` points are iid, from one draw
-    of ``rng``, and are split into the segments of ``params.segment_len``.
-    No Metropolis walk runs, so ``start``, the burn-in and the step cap
-    play no part (``step_cap`` may be left out), and no point repeats
-    another. Any other phi0 callable is sampled by the Metropolis sampler
-    (``sample_positions``), which walks from ``start`` (the origin if
-    None) with the step cap of ``step_cap`` or ``params``. The states
-    come from ``phi0.values`` when phi0 carries it, otherwise from one
-    call per point.
+    of ``rng``, and form one segment. No Metropolis walk runs, so
+    ``start`` and every sampler parameter play no part (``step_cap`` may
+    be left out), and no point repeats another. Any other phi0 callable
+    is sampled by the Metropolis sampler (``sample_positions``), which
+    walks from ``start`` (the origin if None; a weight that vanishes
+    there needs another) with the step cap of ``step_cap`` or
+    ``params``, in segments of ``params.segment_len``. The states come
+    from ``phi0.values`` when phi0 carries it, otherwise from one call
+    per point. The chain starts at time 0.
     """
     if rng is None:
         raise TypeError("initial_chain needs a random generator, rng")
-    draw = getattr(phi0, "draw", None)
-    if params is None:
-        if step_cap is None and draw is None:
-            raise ValueError("the Metropolis sampler needs a step_cap")
-        params = (SamplerParams() if step_cap is None
-                  else SamplerParams(step_cap=step_cap))
-    elif step_cap is not None and params.step_cap != step_cap:
+    if (params is not None and step_cap is not None
+            and params.step_cap != step_cap):
         raise ValueError("params.step_cap disagrees with step_cap")
+    draw = getattr(phi0, "draw", None)
     if draw is not None:
         if n_points < 2:
             raise ValueError("a chain needs at least 2 points")
@@ -700,9 +694,12 @@ def initial_chain(phi0, n_modes: int, n_points: int,
         if alphas.shape[1] != n_modes:
             raise DimensionMismatch(
                 f"phi0 has {alphas.shape[1]} modes, n_modes is {n_modes}")
-        seg_starts = np.cumsum(
-            [0] + _segment_lengths(n_points, params.segment_len)[:-1])
+        seg_starts = None
     else:
+        if params is None:
+            if step_cap is None:
+                raise ValueError("the Metropolis sampler needs a step_cap")
+            params = SamplerParams(step_cap=step_cap)
         logw = log_weight_from_phi(phi0, n_modes)
         alphas, seg_starts = sample_positions(logw, n_modes, n_points, params,
                                               rng, start=start)
@@ -713,7 +710,7 @@ def initial_chain(phi0, n_modes: int, n_points: int,
         phis = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
     if phis.ndim != 2:
         raise DimensionMismatch("phi0 must return a fixed-size vector")
-    return ChainState(time=time, alphas=alphas, phis=phis,
+    return ChainState(time=0.0, alphas=alphas, phis=phis,
                       segment_starts=seg_starts, lineage=lineage)
 
 
@@ -743,7 +740,7 @@ _FIT_RESIDUAL_LIMIT = 0.1
 
 
 def reformat(chain: ChainState, params: SamplerParams, rng,
-             observables=None, gate_factor: float = 3.0) -> ChainState:
+             gate_factor: float = 3.0) -> ChainState:
     """Move every point by a few Metropolis steps under the chain's
     current weight.
 
@@ -763,8 +760,8 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
     InterpolationDegraded, before sampling, when the fit misses the
     stored states by a median relative residual above
     ``_FIT_RESIDUAL_LIMIT``. The result is validated too: every
-    observable in the suite must agree with the pre-reformat estimate
-    within ``gate_factor`` combined standard errors, otherwise
+    observable of ``standard_suite`` must agree with the pre-reformat
+    estimate within ``gate_factor`` combined standard errors, otherwise
     InterpolationDegraded is raised.
     """
     if chain.n_modes != 1:
@@ -778,9 +775,8 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
             f"median relative residual of {residual:.3e} (> "
             f"{_FIT_RESIDUAL_LIMIT:g}); the chain no longer samples one "
             f"entire function")
-    if observables is None:
-        observables = standard_suite(chain.d, chain.n_modes)
-    before = [estimate(chain, ob) for ob in observables]
+    suite = standard_suite(chain.d, chain.n_modes)
+    before = [estimate(chain, ob) for ob in suite]
 
     alphas = move_lockstep(interp.log_weights, chain.alphas,
                            params.segment_len - 1, params, rng)
@@ -789,8 +785,8 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
                      segment_starts=chain.segment_starts,
                      n_steps=chain.n_steps,
                      lineage=chain.lineage + (f"reformat@t={chain.time:.6g}",))
-    after = [estimate(out, ob) for ob in observables]
-    for ob, (v0, s0), (v1, s1) in zip(observables, before, after):
+    after = [estimate(out, ob) for ob in suite]
+    for ob, (v0, s0), (v1, s1) in zip(suite, before, after):
         tol = gate_factor * np.hypot(s0, s1) + 1e-12
         if abs(v1 - v0) > tol:
             raise InterpolationDegraded(

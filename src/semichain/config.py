@@ -19,14 +19,11 @@ from .observables import Monomial, Observable
 
 CHAIN_DEFAULTS = {
     "n_points": 20000,
-    "eps": 0.125,
-    "batch_count": 32,
-    "integrator": "rk4",  # step() itself defaults to euler
+    "eps": 0.125,         # the runner's RK4 step (runner.INTEGRATOR)
 }
 
 ORACLE_DEFAULTS = {
     "cutoff": 16,
-    "tail_threshold": 1e-8,
 }
 
 SCHEDULE_DEFAULTS = {
@@ -275,12 +272,8 @@ def validate_config(raw) -> RunConfig:
         else:
             applied[f"chain.{key}"] = default
     eps = _positive(chain_cfg, "eps", "chain", errors)
-    for key in ("n_points", "batch_count"):
-        if not _positive_int(chain_cfg[key]):
-            errors.append(f"chain.{key}: must be a positive integer")
-    if chain_cfg["integrator"] not in ("euler", "rk4"):
-        errors.append("chain.integrator: expected euler|rk4, got "
-                      f"{chain_cfg['integrator']!r}")
+    if not _positive_int(chain_cfg["n_points"]):
+        errors.append("chain.n_points: must be a positive integer")
 
     oracle_cfg = dict(ORACLE_DEFAULTS)
     raw_oracle = raw.get("oracle", {})
@@ -298,7 +291,6 @@ def validate_config(raw) -> RunConfig:
     cutoff = oracle_cfg["cutoff"]
     if not _positive_int(cutoff) or cutoff < 2:
         errors.append(f"oracle.cutoff: must be an integer >= 2, got {cutoff!r}")
-    _positive(oracle_cfg, "tail_threshold", "oracle", errors)
 
     if spec is not None and atomic is not None:
         if atomic.shape[0] != spec.d:

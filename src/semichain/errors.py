@@ -36,7 +36,7 @@ class SamplerStuck(SemichainError):
 
 
 class DegenerateIncrement(SemichainError):
-    """A chain increment collapsed (|d alpha*| below delta_min) while the
+    """A chain increment collapsed (|d alpha*| below 1e-8) while the
     conditional states still differ; the finite-difference derivative is
     unusable and the chain needs reformatting."""
 

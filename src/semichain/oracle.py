@@ -174,10 +174,10 @@ def _hamiltonian(spec: ModelSpec, levels: tuple):
     matrix-free map on composite amplitudes of mode sizes ``levels``,
     together with an interval that holds its whole spectrum.
 
-    The interval adds, by Weyl's inequality, the spectral range of every
-    term: the eigenvalues of h0, [0, omega_n cutoff_n] for each number
-    term and +-2 ||J_n|| sqrt(cutoff_n) for each coupling, since
-    ||a_n|| = sqrt(cutoff_n) on the truncated space.
+    The interval adds, by Weyl's inequality, the extreme eigenvalues of
+    h0 and of each mode's own term omega_n N_n + J_n a_n^dag + J_n^dag a_n,
+    which acts on the atom and that one mode alone: an ``eigvalsh`` of
+    size d (cutoff_n + 1) each.
     """
     lo, hi = float(spec._evals[0]), float(spec._evals[-1])
     number = np.zeros((1,) + tuple(levels))
@@ -185,10 +185,10 @@ def _hamiltonian(spec: ModelSpec, levels: tuple):
         shape = [1] * number.ndim
         shape[n + 1] = size
         number = number + mode.omega * np.arange(size).reshape(shape)
-        top = mode.omega * (size - 1)
-        reach = 2.0 * np.linalg.norm(mode.j, 2) * np.sqrt(size - 1)
-        lo += min(top, 0.0) - reach
-        hi += max(top, 0.0) + reach
+        coupling = np.kron(mode.j, np.diag(np.sqrt(np.arange(1.0, size)), -1))
+        term = np.kron(np.eye(spec.d), np.diag(mode.omega * np.arange(size)))
+        evals = np.linalg.eigvalsh(term + coupling + coupling.conj().T)
+        lo, hi = lo + evals[0], hi + evals[-1]
     currents = [(mode.j, mode.j.conj().T) for mode in spec.modes]
 
     def apply(amps):
@@ -262,9 +262,9 @@ def evolve(state: FockCompositeState, spec: ModelSpec, dt: float,
     Truncation commutes with every N_n, so this is the exact propagator
     of the truncated model. exp(-i H_S dt) is applied as a Chebyshev
     expansion in (H_S - c) / r, where [c - r, c + r] bounds the spectrum
-    of H_S: the eigenvalues of h0, plus [0, omega_n cutoff_n] and
-    +-2 ||J_n|| sqrt(cutoff_n) for each mode. The bound must hold, or
-    the expansion diverges. Its coefficients are the Bessel values
+    of H_S: the extreme eigenvalues of h0 plus those of each mode's own
+    term (``_hamiltonian``). The bound must hold, or the expansion
+    diverges. Its coefficients are the Bessel values
     (-i)^k J_k(r dt), and the series stops at the first term past order
     r |dt| whose coefficient is below 1e-16; that takes about
     r |dt| + 15 (r |dt|)^(1/3) terms, each one application of H_S.

@@ -7,6 +7,9 @@ seed and config give byte-identical CSV output; a resumed run continues
 from the checkpoint and reproduces the uninterrupted file exactly
 (emitted rows are stored in the checkpoint verbatim).
 
+The chain steps by RK4 (``INTEGRATOR``; ``step`` defaults to Euler);
+estimates and the oracle's tail check use the library defaults.
+
 Progress goes to standard error; data only to files.
 """
 
@@ -23,6 +26,7 @@ from .config import RunConfig, validate_config
 from .oracle import antinormal_expectation, build_initial, evolve
 
 CSV_HEADER = "t,observable,estimate_re,estimate_im,stderr,oracle_re,oracle_im"
+INTEGRATOR = "rk4"
 
 
 def _log(msg):
@@ -39,12 +43,10 @@ def _emit_rows(t, config: RunConfig, chain_state, oracle_state):
         est_re = est_im = se = None
         orc_re = orc_im = None
         if chain_state is not None:
-            val, stderr = estimate(chain_state, ob,
-                                   batch_count=config.chain["batch_count"])
+            val, stderr = estimate(chain_state, ob)
             est_re, est_im, se = val.real, val.imag, stderr
         if oracle_state is not None:
-            ref = antinormal_expectation(oracle_state, ob,
-                                         config.oracle["tail_threshold"])
+            ref = antinormal_expectation(oracle_state, ob)
             orc_re, orc_im = ref.real, ref.imag
         rows.append(",".join([
             _fmt(t), ob.name or "unnamed",
@@ -81,7 +83,7 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
     if config.engine in ("oracle", "both"):
         cutoffs = [config.oracle["cutoff"]] * config.spec.n_modes
         oracle_state = build_initial(config.spec, config.atomic, config.alpha0,
-                                     cutoffs, config.oracle["tail_threshold"])
+                                     cutoffs)
     rows = _emit_rows(0.0, config, chain_state, oracle_state)
     return _run_loop(config, out_dir, rng, chain_state, oracle_state, rows,
                      blocks_done=0, stop_after_blocks=stop_after_blocks)
@@ -104,8 +106,7 @@ def resume(checkpoint_path, out_dir) -> dict:
 def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
               rows, blocks_done, stop_after_blocks=None) -> dict:
     n_blocks, steps_per_block = _schedule(config)
-    c = config.chain
-    eps = c["eps"]
+    eps = config.chain["eps"]
     csv_path = os.path.join(out_dir, "timeseries.csv")
     ckpt_path = os.path.join(out_dir, "checkpoint.bin")
 
@@ -113,11 +114,10 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
         if chain_state is not None:
             for _ in range(steps_per_block):
                 chain_state = step(chain_state, config.spec, eps,
-                                   integrator=c["integrator"])
+                                   integrator=INTEGRATOR)
         if oracle_state is not None:
             oracle_state = evolve(oracle_state, config.spec,
-                                  config.record_every,
-                                  tail_threshold=config.oracle["tail_threshold"])
+                                  config.record_every)
         t = (block + 1) * config.record_every
         rows.extend(_emit_rows(t, config, chain_state, oracle_state))
         save_checkpoint(ckpt_path, config_resolved=config.resolved,

@@ -44,7 +44,7 @@ of one duplicated point would have no usable increment at all, so such
 segments are re-walked from the same seed.
 
 A capped proposal is redrawn until every mode moves by at most
-``step_cap``. With many modes and ``seg_sigma_frac`` near 1 that can
+``step_cap``. With many modes and ``_SEG_SIGMA_FRAC`` near 1 that can
 take hundreds of draws; after a million the sampler raises
 SamplerStuck instead of running on.
 
@@ -68,29 +68,28 @@ _SIGMA_MAX = 20.0
 _BLOCK = 8192              # draws per RNG call
 _CHUNK = 1024              # draws turned into Python numbers at a time
 _MAX_CAP_DRAWS = 1_000_000  # draws one capped proposal may use up
+_SEED_STRIDE = 8           # phase-A proposals between segment seeds
+_WALK_SIGMA0 = 1.0         # initial phase-A proposal scale
+_SEG_SIGMA_FRAC = 0.5      # capped proposal scale / step_cap
+_ACCEPT_TARGET = 0.5       # phase-A acceptance the adaptation aims at
+_ACCEPT_FLOOR = 0.02       # phase-A acceptance below which the walk is stuck
+_MAX_SEGMENT_RETRIES = 50  # re-walks of a segment that accepted no move
 
 
 @dataclass(frozen=True)
 class SamplerParams:
-    """Knobs for the two-phase chain sampler."""
+    """The Metropolis sampler's knobs that callers set; the walk's other
+    settings are the module constants above."""
 
     step_cap: float = 0.45
     segment_len: int = 6
     burn_in: int | None = None     # None -> 10 * n_points proposals
-    seed_stride: int = 8           # phase-A proposals between segment seeds
-    walk_sigma0: float = 1.0       # initial phase-A proposal scale
-    seg_sigma_frac: float = 0.5    # phase-B proposal scale / step_cap
-    accept_target: float = 0.5
-    accept_floor: float = 0.02
-    max_segment_retries: int = 50
 
     def __post_init__(self):
         if self.step_cap <= 0:
             raise ValueError("step_cap must be positive")
         if self.segment_len < 2:
             raise ValueError("segment_len must be at least 2")
-        if not 0.0 < self.seg_sigma_frac <= 1.0:
-            raise ValueError("seg_sigma_frac must be in (0, 1]")
 
 
 def _complex_normals(rng, n, n_modes):
@@ -157,8 +156,8 @@ class _BufferedDraws:
                 return self.normals[i], self.logu[i]
         raise SamplerStuck(
             f"no capped proposal of scale {sigma:g} moved every mode by at "
-            f"most step_cap {cap:g} in {_MAX_CAP_DRAWS} draws; lower "
-            f"seg_sigma_frac or raise step_cap")
+            f"most step_cap {cap:g} in {_MAX_CAP_DRAWS} draws; raise "
+            f"step_cap")
 
 
 class _Walker:
@@ -250,7 +249,7 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
 
     burn_in = params.burn_in if params.burn_in is not None else 10 * n_points
     burn_in = max(burn_in, 500)
-    sigma = params.walk_sigma0
+    sigma = _WALK_SIGMA0
 
     # Robbins-Monro adaptation of the phase-A proposal scale. The growth
     # and shrink factors are numpy's exp, tabulated a chunk at a time:
@@ -260,18 +259,18 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
     for lo in range(0, burn_in, _CHUNK):
         hi = min(lo + _CHUNK, burn_in)
         gain = 4.0 / np.sqrt(np.arange(lo, hi) + 10.0)
-        grow = np.exp(gain * (1.0 - params.accept_target)).tolist()
-        shrink = np.exp(gain * (0.0 - params.accept_target)).tolist()
+        grow = np.exp(gain * (1.0 - _ACCEPT_TARGET)).tolist()
+        shrink = np.exp(gain * (0.0 - _ACCEPT_TARGET)).tolist()
         for i, up, down in zip(range(lo, hi), grow, shrink):
             acc = walker.step(sigma)
             sigma = min(max(sigma * (up if acc else down), _SIGMA_MIN), _SIGMA_MAX)
             if acc and i >= window_from:
                 window_acc += 1
     window_rate = window_acc / (burn_in - window_from)
-    if window_rate < params.accept_floor:
+    if window_rate < _ACCEPT_FLOOR:
         raise SamplerStuck(
             f"phase-A acceptance {window_rate:.3f} below floor "
-            f"{params.accept_floor} after adaptation")
+            f"{_ACCEPT_FLOOR} after adaptation")
 
     lengths = _segment_lengths(n_points, params.segment_len)
     alphas = np.empty((n_points, n_modes), dtype=complex)
@@ -279,7 +278,7 @@ def sample_positions(log_weight, n_modes, n_points, params: SamplerParams,
     pos = 0
     for seg_len in lengths:
         # decorrelate, then take the current walk state as the seed
-        for _ in range(params.seed_stride):
+        for _ in range(_SEED_STRIDE):
             walker.step(sigma)
         alphas[pos: pos + seg_len] = _walk_segment(
             log_weight, walker.x, walker.logw, seg_len, params, draws, pos)
@@ -292,8 +291,8 @@ def _walk_segment(log_weight, seed, seed_logw, seg_len, params, draws, pos):
     """Phase B: a capped walk of ``seg_len`` points from a seed, walked
     again from the same seed while every move is rejected; ``pos`` is the
     segment's first index, for the error message."""
-    sigma = params.seg_sigma_frac * params.step_cap
-    for _ in range(params.max_segment_retries):
+    sigma = _SEG_SIGMA_FRAC * params.step_cap
+    for _ in range(_MAX_SEGMENT_RETRIES):
         w = _Walker(log_weight, seed, draws, logw=seed_logw)
         seg = [w.x]
         for _ in range(1, seg_len):
@@ -303,7 +302,7 @@ def _walk_segment(log_weight, seed, seed_logw, seg_len, params, draws, pos):
             return seg
     raise SamplerStuck(
         f"segment at point {pos} never accepted a move in "
-        f"{params.max_segment_retries} re-walks")
+        f"{_MAX_SEGMENT_RETRIES} re-walks")
 
 
 def move_lockstep(log_weights, alphas, n_moves, params: SamplerParams, rng):
@@ -312,7 +311,7 @@ def move_lockstep(log_weights, alphas, n_moves, params: SamplerParams, rng):
     Each row of the ``(n_points, n_modes)`` positions ``alphas`` is a
     walk of its own under ``log_weights``, which maps an (n, n_modes)
     array to n log weights. A proposal has phase B's scale,
-    ``seg_sigma_frac * step_cap``, and is redrawn, row by row, until
+    ``_SEG_SIGMA_FRAC * step_cap``, and is redrawn, row by row, until
     every mode moves by at most ``step_cap``, so no point moves further
     than ``n_moves * step_cap`` per mode. Returns the new positions.
 
@@ -321,7 +320,7 @@ def move_lockstep(log_weights, alphas, n_moves, params: SamplerParams, rng):
     """
     x = np.array(alphas, dtype=complex)
     n_points, n_modes = x.shape
-    sigma = params.seg_sigma_frac * params.step_cap
+    sigma = _SEG_SIGMA_FRAC * params.step_cap
     logw = np.array(log_weights(x), dtype=float)
     if not np.all(np.isfinite(logw)):
         raise SamplerStuck(
@@ -340,7 +339,7 @@ def move_lockstep(log_weights, alphas, n_moves, params: SamplerParams, rng):
             raise SamplerStuck(
                 f"no capped proposal of scale {sigma:g} moved every mode by "
                 f"at most step_cap {params.step_cap:g} in {_MAX_CAP_DRAWS} "
-                f"draws; lower seg_sigma_frac or raise step_cap")
+                f"draws; raise step_cap")
         y = x + step
         logu = np.log(rng.random(n_points))
         logw_y = log_weights(y)

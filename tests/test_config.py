@@ -26,10 +26,8 @@ def minimal_config(**overrides):
 
 def test_minimal_config_gets_defaults():
     cfg = validate_config(minimal_config())
-    assert cfg.chain["eps"] == 0.125
-    assert cfg.chain["integrator"] == "rk4"
-    assert cfg.chain["n_points"] == 20000
-    assert cfg.oracle["cutoff"] == 16
+    assert cfg.chain == {"n_points": 20000, "eps": 0.125}
+    assert cfg.oracle == {"cutoff": 16}
     assert cfg.record_every == cfg.t_final
     assert "chain.eps" in cfg.applied_defaults
     assert "oracle.cutoff" in cfg.applied_defaults
@@ -180,18 +178,16 @@ def test_centered_deriv_scheme_rejected_with_other_errors():
 
 
 def test_midpoint_integrator_rejected_with_other_errors():
-    # RK4 replaced the midpoint rule: the old value names the allowed ones
-    raw = minimal_config(chain={"integrator": "midpoint"})
-    del raw["seed"]
-    with pytest.raises(ConfigError) as exc:
-        validate_config(raw)
-    probs = exc.value.problems
-    assert "chain.integrator: expected euler|rk4, got 'midpoint'" in probs
-    assert any("seed" in p for p in probs)
-    raw["seed"] = 42
-    for integrator in ("euler", "rk4"):
-        raw["chain"]["integrator"] = integrator
-        assert validate_config(raw).chain["integrator"] == integrator
+    # the runner always steps RK4, so the integrator key is gone: any
+    # value, the retired midpoint included, is an unknown option
+    for integrator in ("midpoint", "euler", "rk4"):
+        raw = minimal_config(chain={"integrator": integrator})
+        del raw["seed"]
+        with pytest.raises(ConfigError) as exc:
+            validate_config(raw)
+        probs = exc.value.problems
+        assert "chain.integrator: unknown option" in probs
+        assert any("seed" in p for p in probs)
 
 
 def test_multimode_chain_engine_rejected_with_other_errors():
@@ -244,12 +240,12 @@ def test_retired_chain_keys_are_unknown_options(key, value):
 def test_non_finite_numbers_rejected():
     import json
     text = json.dumps(minimal_config(chain={"eps": float("nan"),
-                                            "batch_count": float("inf")}))
+                                            "n_points": float("inf")}))
     text = text.replace('"t_final": 1.0', '"t_final": Infinity')
     with pytest.raises(ConfigError) as exc:
         validate_config(text)
     probs = exc.value.problems
-    for key in ("chain.eps", "chain.batch_count", "schedule.t_final"):
+    for key in ("chain.eps", "chain.n_points", "schedule.t_final"):
         assert any(p.startswith(key) for p in probs), key
     raw = minimal_config()
     raw["initial"]["atomic"] = [[float("nan"), 0.0], [0.0, 0.0]]
@@ -260,14 +256,30 @@ def test_non_finite_numbers_rejected():
 
 @pytest.mark.parametrize("cutoff", ["many", -3, 2.5, 1, True])
 def test_bad_oracle_values_rejected_with_other_errors(cutoff):
-    raw = minimal_config(oracle={"cutoff": cutoff,
-                                 "tail_threshold": float("nan")})
+    raw = minimal_config(oracle={"cutoff": cutoff})
     del raw["seed"]
     with pytest.raises(ConfigError) as exc:
         validate_config(raw)
     probs = exc.value.problems
-    for key in ("oracle.cutoff", "oracle.tail_threshold", "seed"):
+    for key in ("oracle.cutoff", "seed"):
         assert any(p.startswith(key) for p in probs), key
-    cfg = validate_config(minimal_config(oracle={"cutoff": 2,
-                                                 "tail_threshold": 1.0}))
-    assert cfg.oracle == {"cutoff": 2, "tail_threshold": 1.0}
+    cfg = validate_config(minimal_config(oracle={"cutoff": 2}))
+    assert cfg.oracle == {"cutoff": 2}
+
+
+def test_retired_keys_are_all_listed_with_other_errors():
+    # the runner steps RK4, estimates with 32 batches and checks the
+    # oracle's tail at 1e-8 through module constants: a config, or the
+    # resolved config of an older checkpoint, that names any of the
+    # retired keys gets one problem per key, with every other problem
+    raw = minimal_config(chain={"integrator": "rk4", "batch_count": 32},
+                         oracle={"cutoff": 16, "tail_threshold": 1e-8})
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    for key in ("chain.integrator", "chain.batch_count",
+                "oracle.tail_threshold"):
+        assert f"{key}: unknown option" in probs
+    assert any("seed" in p for p in probs)
+    assert len(probs) == 4

@@ -4,7 +4,8 @@ import pytest
 import semichain as sc
 from semichain.errors import TailMassExceeded
 from semichain.observables import Observable, mode_monomial
-from semichain.oracle import _rhs, coherent_fock_vector, tail_mass
+from semichain.oracle import (_hamiltonian, _rhs, coherent_fock_vector,
+                              tail_mass)
 
 from conftest import disk_grid, quad_phase_plane, random_fock_state
 
@@ -311,3 +312,29 @@ def test_evolve_detuned_non_diagonal_h0_matches_dense_propagator(pauli, h0_scale
     u = _dense_interaction_propagator(h0, 1.3, j, 6, 0.3, 1.7)
     ref = (u @ amps.ravel()).reshape(amps.shape)
     assert np.max(np.abs(out.amplitudes - ref)) < 1e-12
+
+
+def test_spectral_interval_holds_the_spectrum_within_the_weyl_sum(pauli):
+    # two modes, one with a negative frequency, h0 not diagonal, and
+    # currents that do not conserve the excitation number: the interval
+    # from each mode's own term holds the dense spectrum of H_S, and lies
+    # inside the sum of the separate ranges of h0, omega N and each
+    # coupling (+-2 ||J|| sqrt(cutoff)); here it is 8.2 wide against 12.6
+    h0 = pauli["x"] / 2 + 0.3 * pauli["z"] / 2
+    spec = sc.ModelSpec(h0=h0, modes=[
+        sc.FieldMode(1.0, 0.4 * pauli["minus"] + 0.1 * pauli["z"]),
+        sc.FieldMode(-0.7, 0.3 * pauli["x"])])
+    shape = (2, 5, 4)
+    apply, lo, hi = _hamiltonian(spec, shape[1:])
+    basis = np.eye(int(np.prod(shape)), dtype=complex)
+    dense = np.array([apply(e.reshape(shape)).ravel() for e in basis]).T
+    assert np.allclose(dense, dense.conj().T, rtol=0, atol=1e-14)
+    spectrum = np.linalg.eigvalsh(dense)
+    assert lo <= spectrum[0] and spectrum[-1] <= hi
+    weyl = np.linalg.eigvalsh(h0)[[0, -1]]
+    for mode, size in zip(spec.modes, shape[1:]):
+        top = mode.omega * (size - 1)
+        reach = 2.0 * np.linalg.norm(mode.j, 2) * np.sqrt(size - 1)
+        weyl += [min(top, 0.0) - reach, max(top, 0.0) + reach]
+    assert weyl[0] <= lo and hi <= weyl[1]
+    assert hi - lo < 0.75 * (weyl[1] - weyl[0])

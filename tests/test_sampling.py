@@ -67,12 +67,12 @@ def _within_segment_steps(alphas, starts):
                for a, b in zip(edges[:-1], edges[1:]))
 
 
-def test_capped_proposals_never_break_the_cap_with_many_modes():
+def test_capped_proposals_never_break_the_cap_with_many_modes(monkeypatch):
     # with 12 modes and proposals as wide as the cap, only ~0.4% of
     # draws fit inside it, so a capped step needs hundreds of redraws
     cap = 0.3
-    params = SamplerParams(step_cap=cap, segment_len=5, burn_in=500,
-                           seg_sigma_frac=1.0)
+    monkeypatch.setattr(sampling, "_SEG_SIGMA_FRAC", 1.0)
+    params = SamplerParams(step_cap=cap, segment_len=5, burn_in=500)
     alphas, starts = sample_positions(_gaussian_weight(0.0), 12, 600, params,
                                       np.random.default_rng(3))
     assert alphas.shape == (600, 12)
@@ -81,9 +81,9 @@ def test_capped_proposals_never_break_the_cap_with_many_modes():
 
 def test_capped_proposal_draw_limit_raises(monkeypatch):
     monkeypatch.setattr(sampling, "_MAX_CAP_DRAWS", 20)
-    params = SamplerParams(step_cap=0.3, segment_len=5, burn_in=500,
-                           seg_sigma_frac=1.0)
-    with pytest.raises(SamplerStuck, match="step_cap 0.3.*seg_sigma_frac"):
+    monkeypatch.setattr(sampling, "_SEG_SIGMA_FRAC", 1.0)
+    params = SamplerParams(step_cap=0.3, segment_len=5, burn_in=500)
+    with pytest.raises(SamplerStuck, match="step_cap 0.3 .*raise step_cap"):
         sample_positions(_gaussian_weight(0.0), 12, 600, params,
                          np.random.default_rng(3))
 
@@ -163,15 +163,15 @@ def test_coherent_start_draws_the_exact_gaussian(alpha0, seed):
     assert np.array_equal(chain.phis, phi0.values(chain.alphas))
 
 
-def test_coherent_start_is_one_draw_split_into_segments():
+def test_coherent_start_is_one_draw_and_one_segment():
+    # an iid cloud has no small increments, so no segment split either
     phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
     params = SamplerParams(step_cap=0.45, segment_len=6)
     chain = sc.initial_chain(phi0, 1, 1003, 0.45, np.random.default_rng(5),
                              params=params)
     assert np.array_equal(chain.alphas, phi0.draw(np.random.default_rng(5), 1003))
-    lengths = sampling._segment_lengths(1003, 6)
-    assert np.array_equal(chain.segment_starts,
-                          np.cumsum([0] + lengths[:-1]))
+    assert chain.segment_starts.tolist() == [0]
+    assert chain.time == 0.0
     with pytest.raises(DimensionMismatch, match="phi0 has 1 modes"):
         sc.initial_chain(phi0, 2, 1003, 0.45, np.random.default_rng(5))
 
@@ -230,10 +230,11 @@ def _gaussian_weights(alphas):
     return -np.sum(np.abs(alphas) ** 2, axis=1)
 
 
-def test_lockstep_moves_respect_the_cap_and_keep_the_weight():
+def test_lockstep_moves_respect_the_cap_and_keep_the_weight(monkeypatch):
     # 12 modes with proposals as wide as the cap: most draws are redrawn
     rng = np.random.default_rng(211)
-    params = SamplerParams(step_cap=0.3, seg_sigma_frac=1.0)
+    monkeypatch.setattr(sampling, "_SEG_SIGMA_FRAC", 1.0)
+    params = SamplerParams(step_cap=0.3)
     start = (rng.standard_normal((4000, 12))
              + 1j * rng.standard_normal((4000, 12))) / np.sqrt(2)
     out = sampling.move_lockstep(_gaussian_weights, start, 5, params, rng)
@@ -243,10 +244,11 @@ def test_lockstep_moves_respect_the_cap_and_keep_the_weight():
 
 
 def test_lockstep_cap_draw_limit_and_zero_weight_raise(monkeypatch):
-    params = SamplerParams(step_cap=0.3, seg_sigma_frac=1.0)
+    params = SamplerParams(step_cap=0.3)
     start = np.zeros((50, 12), dtype=complex)
+    monkeypatch.setattr(sampling, "_SEG_SIGMA_FRAC", 1.0)
     monkeypatch.setattr(sampling, "_MAX_CAP_DRAWS", 2)
-    with pytest.raises(SamplerStuck, match="step_cap 0.3.*seg_sigma_frac"):
+    with pytest.raises(SamplerStuck, match="step_cap 0.3 .*raise step_cap"):
         sampling.move_lockstep(_gaussian_weights, start, 1, params,
                                np.random.default_rng(3))
     weights = lambda a: np.where(a[:, 0] == 0, -np.inf, 0.0)  # noqa: E731
