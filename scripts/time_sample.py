@@ -9,15 +9,14 @@ mode per ``--alpha0`` value; complex values are written like ``0.5-1.2j``),
 which draws its points exactly. With ``--generic`` it wraps that phi0 in
 a plain callable that carries the batched ``values`` but not ``draw``,
 so that ``initial_chain`` runs the Metropolis sampler instead (the path
-of every phi0 other than a coherent start), on a weight that
-``log_weight_from_phi`` evaluates from phi0 one point at a time. It
-prints:
+of every phi0 other than a coherent start), on the batched weight that
+``log_weight_from_phi`` evaluates through ``values``. It prints:
 
 - seconds: wall time of ``initial_chain``, sampling and the states at
   the sampled points;
-- proposals: calls of the log-weight that ``log_weight_from_phi``
-  returned (Metropolis proposals, plus one per walk start; 0 for an
-  exact draw);
+- weight rows: points at which the weight that ``log_weight_from_phi``
+  returned was evaluated, summed over its batched calls (Metropolis
+  proposals, plus one per walker start; 0 for an exact draw);
 - peak RSS of the whole process;
 - sha256 of the chain's ``alphas``, ``phis`` and ``segment_starts``
   bytes, so that two versions of the package can be checked to sample
@@ -58,15 +57,15 @@ def main(argv=None):
                     help="walk the Metropolis sampler instead of drawing")
     args = ap.parse_args(argv)
 
-    calls = [0]
+    rows = [0]
     factory = sampling.log_weight_from_phi
 
     def counting_factory(*a, **kw):
         logw = factory(*a, **kw)
 
-        def counted(alpha):
-            calls[0] += 1
-            return logw(alpha)
+        def counted(alphas):
+            rows[0] += alphas.shape[0]
+            return logw(alphas)
 
         return counted
 
@@ -96,8 +95,8 @@ def main(argv=None):
     print(f"N={args.n} seed={args.seed} alpha0={args.alpha0} "
           f"atomic={args.atomic}")
     print(f"seconds {elapsed:.3f}")
-    per = f" ({1e6 * elapsed / calls[0]:.2f} us each)" if calls[0] else ""
-    print(f"proposals {calls[0]}{per}")
+    per = f" ({1e6 * elapsed / rows[0]:.2f} us each)" if rows[0] else ""
+    print(f"weight rows {rows[0]}{per}")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS MiB {usage.ru_maxrss / 1024:.1f}")
     print(f"sha256 {digest.hexdigest()}")

@@ -674,12 +674,13 @@ def initial_chain(phi0, n_modes: int, n_points: int,
     of ``rng``, and form one segment. No Metropolis walk runs, so
     ``start`` and every sampler parameter play no part (``step_cap`` may
     be left out), and no point repeats another. Any other phi0 callable
-    is sampled by the Metropolis sampler (``sample_positions``), which
-    walks from ``start`` (the origin if None; a weight that vanishes
-    there needs another) with the step cap of ``step_cap`` or
-    ``params``, in segments of ``params.segment_len``. The states come
-    from ``phi0.values`` when phi0 carries it, otherwise from one call
-    per point. The chain starts at time 0.
+    is sampled by the Metropolis sampler (``sample_positions``), whose
+    walkers, one per segment of ``params.segment_len`` points, all
+    start at ``start`` (the origin if None; a weight that vanishes there
+    needs another) and move together, with the step cap of
+    ``step_cap`` or ``params``. The weight and the states come from
+    ``phi0.values`` when phi0 carries it, otherwise from one call per
+    point. The chain starts at time 0.
     """
     if rng is None:
         raise TypeError("initial_chain needs a random generator, rng")

@@ -16,6 +16,7 @@ resumed run reproduces the uninterrupted output byte for byte.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -67,7 +68,6 @@ def save_checkpoint(path, *, config_resolved, rng_state, rows, blocks_done,
         f.write(blob)
         for buf in buffers:
             f.write(buf.tobytes())
-    import os
     os.replace(tmp, path)
 
 

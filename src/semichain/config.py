@@ -204,6 +204,26 @@ def _positive(raw, key, path, errors):
     return float(v)
 
 
+def _section(raw, name, defaults, errors, applied):
+    """The optional section ``name`` of the config over its ``defaults``:
+    unknown keys are errors, and every default it leaves in place is
+    recorded in ``applied``."""
+    section = raw.get(name, {})
+    if not isinstance(section, dict):
+        errors.append(f"{name}: expected an object")
+        section = {}
+    for key in section:
+        if key not in defaults:
+            errors.append(f"{name}.{key}: unknown option")
+    out = dict(defaults)
+    for key, default in defaults.items():
+        if key in section:
+            out[key] = section[key]
+        else:
+            applied[f"{name}.{key}"] = default
+    return out
+
+
 def validate_config(raw) -> RunConfig:
     """Validate a raw config (dict or JSON text) into a RunConfig.
 
@@ -258,36 +278,12 @@ def validate_config(raw) -> RunConfig:
             errors.append("initial.atomic: must be normalized (norm "
                           f"{nrm:.6f}); normalize it explicitly")
 
-    chain_cfg = dict(CHAIN_DEFAULTS)
-    raw_chain = raw.get("chain", {})
-    if not isinstance(raw_chain, dict):
-        errors.append("chain: expected an object")
-        raw_chain = {}
-    for key in raw_chain:
-        if key not in CHAIN_DEFAULTS:
-            errors.append(f"chain.{key}: unknown option")
-    for key, default in CHAIN_DEFAULTS.items():
-        if key in raw_chain:
-            chain_cfg[key] = raw_chain[key]
-        else:
-            applied[f"chain.{key}"] = default
+    chain_cfg = _section(raw, "chain", CHAIN_DEFAULTS, errors, applied)
     eps = _positive(chain_cfg, "eps", "chain", errors)
     if not _positive_int(chain_cfg["n_points"]):
         errors.append("chain.n_points: must be a positive integer")
 
-    oracle_cfg = dict(ORACLE_DEFAULTS)
-    raw_oracle = raw.get("oracle", {})
-    if not isinstance(raw_oracle, dict):
-        errors.append("oracle: expected an object")
-        raw_oracle = {}
-    for key in raw_oracle:
-        if key not in ORACLE_DEFAULTS:
-            errors.append(f"oracle.{key}: unknown option")
-    for key, default in ORACLE_DEFAULTS.items():
-        if key in raw_oracle:
-            oracle_cfg[key] = raw_oracle[key]
-        else:
-            applied[f"oracle.{key}"] = default
+    oracle_cfg = _section(raw, "oracle", ORACLE_DEFAULTS, errors, applied)
     cutoff = oracle_cfg["cutoff"]
     if not _positive_int(cutoff) or cutoff < 2:
         errors.append(f"oracle.cutoff: must be an integer >= 2, got {cutoff!r}")

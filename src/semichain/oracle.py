@@ -108,33 +108,23 @@ def build_initial(spec: ModelSpec, atomic, alphas0, cutoffs,
     return check_tail(state, tail_threshold)
 
 
-def _apply_lower(amps: np.ndarray, mode: int) -> np.ndarray:
-    """Absorption operator a on one mode axis."""
+def _ladder(amps: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
+    """The absorption operator a, or with ``dagger`` the creation
+    operator a^dag (which truncates at the top), on one mode axis: a
+    moves the amplitude of level n to level n - 1, a^dag that of level
+    n - 1 to level n, each times sqrt(n)."""
     ax = mode + 1
     n_levels = amps.shape[ax]
-    out = np.zeros_like(amps)
-    src = np.take(amps, np.arange(1, n_levels), axis=ax)
-    factors = np.sqrt(np.arange(1, n_levels))
     shape = [1] * amps.ndim
     shape[ax] = n_levels - 1
-    sl = [slice(None)] * amps.ndim
-    sl[ax] = slice(0, n_levels - 1)
-    out[tuple(sl)] = src * factors.reshape(shape)
-    return out
-
-
-def _apply_raise(amps: np.ndarray, mode: int) -> np.ndarray:
-    """Creation operator a^dag on one mode axis (truncates at the top)."""
-    ax = mode + 1
-    n_levels = amps.shape[ax]
+    factors = np.sqrt(np.arange(1, n_levels)).reshape(shape)
+    lower = [slice(None)] * amps.ndim
+    upper = list(lower)
+    lower[ax] = slice(0, n_levels - 1)
+    upper[ax] = slice(1, n_levels)
+    src, dst = (lower, upper) if dagger else (upper, lower)
     out = np.zeros_like(amps)
-    src = np.take(amps, np.arange(0, n_levels - 1), axis=ax)
-    factors = np.sqrt(np.arange(1, n_levels))
-    shape = [1] * amps.ndim
-    shape[ax] = n_levels - 1
-    sl = [slice(None)] * amps.ndim
-    sl[ax] = slice(1, n_levels)
-    out[tuple(sl)] = src * factors.reshape(shape)
+    out[tuple(dst)] = amps[tuple(src)] * factors
     return out
 
 
@@ -153,8 +143,8 @@ def _rhs(spec: ModelSpec, t: float, amps: np.ndarray) -> np.ndarray:
     js = rotated_currents(spec, t)
     out = np.zeros_like(amps)
     for n, j in enumerate(js):
-        out += _atomic_apply(j, _apply_raise(amps, n))
-        out += _atomic_apply(j.conj().T, _apply_lower(amps, n))
+        out += _atomic_apply(j, _ladder(amps, n, dagger=True))
+        out += _atomic_apply(j.conj().T, _ladder(amps, n, dagger=False))
     return -1j * out
 
 
@@ -195,8 +185,8 @@ def _hamiltonian(spec: ModelSpec, levels: tuple):
         out = _atomic_apply(spec.h0, amps)
         out += number * amps
         for n, (j, j_dag) in enumerate(currents):
-            out += _atomic_apply(j, _apply_raise(amps, n))
-            out += _atomic_apply(j_dag, _apply_lower(amps, n))
+            out += _atomic_apply(j, _ladder(amps, n, dagger=True))
+            out += _atomic_apply(j_dag, _ladder(amps, n, dagger=False))
         return out
 
     return apply, lo, hi
@@ -345,8 +335,8 @@ def antinormal_expectation(state: FockCompositeState, obs: Observable,
         ket = padded
         for n, (pn, qn) in enumerate(zip(mono.p, mono.q)):
             for _ in range(pn):
-                bra = _apply_raise(bra, n)
+                bra = _ladder(bra, n, dagger=True)
             for _ in range(qn):
-                ket = _apply_raise(ket, n)
+                ket = _ladder(ket, n, dagger=True)
         total += mono.coeff * complex(np.vdot(bra, _atomic_apply(f, ket)))
     return total

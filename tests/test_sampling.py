@@ -10,8 +10,8 @@ from conftest import disk_grid, quad_phase_plane
 
 
 def _gaussian_weight(center):
-    def logw(alpha):
-        return float(-np.sum(np.abs(alpha - center) ** 2))
+    def logw(alphas):
+        return -np.sum(np.abs(alphas - center) ** 2, axis=1)
     return logw
 
 
@@ -33,7 +33,7 @@ def test_coherent_moments_match_quadrature():
     phi0 = sc.coherent_bargmann([a0], [1.0])
     logw = log_weight_from_phi(phi0, 1)
     grid, wgt = disk_grid(radius=6.0, n=96)
-    dens = np.exp([logw(np.array([g])) for g in grid])
+    dens = np.exp(logw(grid[:, None]))
     norm = quad_phase_plane(dens, wgt)
     mean_q = quad_phase_plane(grid * dens, wgt) / norm
     var_q = quad_phase_plane(np.abs(grid - a0) ** 2 * dens, wgt) / norm
@@ -46,6 +46,20 @@ def test_coherent_moments_match_quadrature():
     a = alphas[:, 0]
     assert abs(a.mean() - mean_q) < 4.0 / np.sqrt(n)
     assert abs(np.mean(np.abs(a - a0) ** 2) - var_q) < 5.0 / np.sqrt(n)
+
+
+def test_small_burn_in_still_leaves_a_distant_start():
+    # 3333 walkers share 500 burn-in proposals, yet each makes enough
+    # moves to forget the start, 3.6 away from the weight's center;
+    # bounds three times the moment tests' catch a chain still near it
+    c = 3 - 2j
+    n = 20000
+    alphas, _ = sample_positions(_gaussian_weight(c), 1, n,
+                                 SamplerParams(step_cap=0.45, burn_in=500),
+                                 np.random.default_rng(3000))
+    a = alphas[:, 0]
+    assert abs(a.mean() - c) < 12.0 / np.sqrt(n)
+    assert abs(np.mean(np.abs(a - c) ** 2) - 1.0) < 15.0 / np.sqrt(n)
 
 
 def test_increments_respect_cap():
@@ -88,6 +102,23 @@ def test_capped_proposal_draw_limit_raises(monkeypatch):
                          np.random.default_rng(3))
 
 
+def test_zero_weight_start_raises():
+    # a Gaussian around 0.5, cut to zero left of Re(alpha) = 0
+    def half_plane(alphas):
+        a = alphas[..., 0]
+        return np.where(a.real > 0.0, -np.abs(a - 0.5) ** 2, -np.inf)
+
+    with pytest.raises(SamplerStuck, match="zero-weight"):
+        sample_positions(half_plane, 1, 100, SamplerParams(step_cap=0.3),
+                         np.random.default_rng(3), start=[-1.0])
+
+
+def test_start_needs_one_entry_per_mode():
+    with pytest.raises(DimensionMismatch, match="start has 2 modes"):
+        sample_positions(_gaussian_weight(0.0), 1, 100, SamplerParams(),
+                         np.random.default_rng(3), start=[0.0, 0.0])
+
+
 def test_zero_atomic_state_is_a_zero_weight_start():
     phi0 = sc.coherent_bargmann([1.0], [0.0, 0.0])
     with pytest.raises(SamplerStuck, match="zero-weight"):
@@ -113,9 +144,9 @@ def test_segment_lengths_cover_points():
 
 
 def test_sampler_stuck_raises():
-    def needle(alpha):
+    def needle(alphas):
         # nonzero only at the exact start point: every move is rejected
-        return 0.0 if np.all(alpha == 0) else -np.inf
+        return np.where(np.all(alphas == 0, axis=1), 0.0, -np.inf)
 
     rng = np.random.default_rng(127)
     with pytest.raises(SamplerStuck):
@@ -124,9 +155,9 @@ def test_sampler_stuck_raises():
 
 def test_multimode_positions_shape():
     rng = np.random.default_rng(131)
-    alphas, _ = sample_positions(_gaussian_weight(0.0), 2, 500,
+    alphas, _ = sample_positions(_gaussian_weight(0.0), 2, 8000,
                                  SamplerParams(step_cap=0.5), rng)
-    assert alphas.shape == (500, 2)
+    assert alphas.shape == (8000, 2)
     cov = np.mean(np.abs(alphas) ** 2, axis=0)
     assert np.all(np.abs(cov - 1.0) < 0.2)
 
@@ -226,10 +257,6 @@ def test_generic_callable_keeps_the_metropolis_chain(seed):
     assert np.array_equal(chain.phis, [phi0(np.conj(a)) for a in alphas])
 
 
-def _gaussian_weights(alphas):
-    return -np.sum(np.abs(alphas) ** 2, axis=1)
-
-
 def test_lockstep_moves_respect_the_cap_and_keep_the_weight(monkeypatch):
     # 12 modes with proposals as wide as the cap: most draws are redrawn
     rng = np.random.default_rng(211)
@@ -237,7 +264,7 @@ def test_lockstep_moves_respect_the_cap_and_keep_the_weight(monkeypatch):
     params = SamplerParams(step_cap=0.3)
     start = (rng.standard_normal((4000, 12))
              + 1j * rng.standard_normal((4000, 12))) / np.sqrt(2)
-    out = sampling.move_lockstep(_gaussian_weights, start, 5, params, rng)
+    out = sampling.move_lockstep(_gaussian_weight(0.0), start, 5, params, rng)
     assert np.abs(out - start).max() <= 5 * 0.3 + 1e-12
     assert np.mean(np.any(out != start, axis=1)) > 0.5
     assert abs(np.mean(np.abs(out) ** 2) - 1.0) <= 5.0 / np.sqrt(out.size)
@@ -249,7 +276,7 @@ def test_lockstep_cap_draw_limit_and_zero_weight_raise(monkeypatch):
     monkeypatch.setattr(sampling, "_SEG_SIGMA_FRAC", 1.0)
     monkeypatch.setattr(sampling, "_MAX_CAP_DRAWS", 2)
     with pytest.raises(SamplerStuck, match="step_cap 0.3 .*raise step_cap"):
-        sampling.move_lockstep(_gaussian_weights, start, 1, params,
+        sampling.move_lockstep(_gaussian_weight(0.0), start, 1, params,
                                np.random.default_rng(3))
     weights = lambda a: np.where(a[:, 0] == 0, -np.inf, 0.0)  # noqa: E731
     with pytest.raises(SamplerStuck, match="zero-weight"):
