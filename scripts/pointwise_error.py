@@ -102,14 +102,14 @@ def use_exact_derivative(oracle, spec):
     rates = chain_module._rates
     current = [oracle]
 
-    def timed_rates(alphas, phis, spec_, t, workspace=None):
+    def timed_rates(y, spec_, t, workspace=None):
         gap = t - current[0].time
         if gap < -1e-9:
             raise RuntimeError(f"rate evaluation at t={t} before the oracle's "
                                f"t={current[0].time}")
         if gap > 1e-9:
             current[0] = sc.evolve(current[0], spec, gap, tail_threshold=1e-8)
-        return rates(alphas, phis, spec_, t, workspace)
+        return rates(y, spec_, t, workspace)
 
     def exact(alphas, phis, workspace=None):
         amps = current[0].amplitudes

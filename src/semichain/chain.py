@@ -33,11 +33,11 @@ import numpy as np
 from .errors import (DegenerateIncrement, DimensionMismatch,
                      InterpolationDegraded, SamplerStuck,
                      ZeroNormConditionalState)
-from .hilbert import as_operator, as_state
+from .hilbert import as_operator
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
-from .sampling import (SamplerParams, _complex_normals, log_weight_from_phi,
-                       move_lockstep, sample_positions)
+from .sampling import (SamplerParams, _complex_normals, _log_weights,
+                       log_weight_from_phi, move_lockstep, sample_positions)
 
 _DELTA_MIN = 1e-8  # a smaller increment repeats a point, or has collapsed
 DEFAULT_BATCH_COUNT = 32
@@ -123,28 +123,6 @@ class ChainState:
 
 def _is_identity(f: np.ndarray) -> bool:
     return bool(np.array_equal(f, np.eye(f.shape[0])))
-
-
-def conditional_expectation(phi, f) -> complex:
-    """<phi|F|phi> / <phi|phi>; the norm of phi cancels.
-
-    The identity operator short-circuits to exactly 1 (the ratio is 1
-    by construction, not merely to rounding).
-    """
-    phi = as_state(phi)
-    f = as_operator(f, dim=phi.shape[0])
-    n2 = np.vdot(phi, phi).real
-    if n2 == 0.0:
-        raise ZeroNormConditionalState("conditional state has zero norm")
-    if _is_identity(f):
-        return 1.0 + 0.0j
-    return complex(np.vdot(phi, f @ phi) / n2)
-
-
-def drift_velocity(phi, t: float, spec: ModelSpec) -> np.ndarray:
-    """Phase-space velocity -i <j_n(t)> per mode."""
-    js = rotated_currents(spec, t)
-    return np.array([-1j * conditional_expectation(phi, j) for j in js])
 
 
 def _norms2(phis: np.ndarray) -> np.ndarray:
@@ -234,8 +212,9 @@ class _Workspace:
     set small:
 
     - "scratch": the fit's stacked block (its basis rows, then the
-      states it fits), which ``derivative()`` reads; then the state
-      rates that ``_rates`` returns;
+      states it fits), which ``derivative()`` reads; then, in its first
+      1 + d rows, the rates that ``_rates`` returns, and the updated
+      state that ``step`` writes over them;
     - "carrier": the fit's e^{beta w} at the chain's points, then the
       per-point factors of ``_rates``;
     - "exp_parts": the real factors of the fit's carrier;
@@ -244,6 +223,9 @@ class _Workspace:
       product of ``_rates``;
     - "rates_phis": the squared states, then j phi, then a product of
       ``_rates``.
+
+    ``step``'s "state", RK4 "stage" and "rk4_slope" are (1 + d, N):
+    positions in row 0, states below, as are the rates.
     """
 
     def __init__(self, n, d):
@@ -399,11 +381,7 @@ class BargmannInterpolant:
         """log of e^{-|alpha|^2} ||Phi(alpha*)||^2 at every row of
         ``alphas`` (shape (N, 1)); -inf where Phi vanishes or is not
         finite."""
-        n2 = _norms2(self.values(alphas))
-        ok = (n2 > 0.0) & (n2 < math.inf)
-        out = np.full(n2.shape, -math.inf)
-        out[ok] = np.log(n2[ok]) - np.abs(alphas[ok, 0]) ** 2
-        return out
+        return _log_weights(self.values(alphas), alphas)
 
     @property
     def residual(self):
@@ -447,14 +425,17 @@ def _fit_coefficients(block, k, conj):
     return np.linalg.lstsq(block[:k].T * _NORM[:k], block[k:].T, rcond=None)[0]
 
 
-def _rates(alphas, phis, spec, t, workspace=None):
-    """Time derivatives of (alphas, phis) from a frozen snapshot.
+def _rates(y, spec, t, workspace=None):
+    """Time derivative of the state ``y`` from a frozen snapshot.
 
-    Component-major: ``alphas`` is (1, N), ``phis`` is (d, N), and the
-    rates come back in the same layouts, as views of the buffers of
-    ``workspace`` (a new one if it is None or was made for other sizes).
+    Component-major: ``y`` is (1 + d, N), the positions in row 0 and the
+    conditional states below, and its rate comes back in the same
+    layout, as a view of the "scratch" buffer of ``workspace`` (a new
+    one if it is None or was made for other sizes).
     """
-    d, n = phis.shape
+    n = y.shape[1]
+    d = y.shape[0] - 1
+    alphas, phis = y[:1], y[1:]
     ws = _workspace_for(workspace, n, d)
     norms2 = ws.array("rates_norms2", (n,), float)
     # the squares of the states go where j phi goes next
@@ -465,9 +446,8 @@ def _rates(alphas, phis, spec, t, workspace=None):
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
     (j,) = rotated_currents(spec, t)
     deriv = _derivatives(alphas.T, phis.T, workspace=ws)
-    tmp = ws.array("scratch", (d, n))  # the fit is done with it
-    a_dot = ws.array("rates_alphas", (1, n))
-    v = a_dot[0]
+    rates = ws.array("scratch", (1 + d, n))  # the fit is done with it
+    v, tmp = rates[0], rates[1:]
     np.matmul(j, phis, out=jphi)
     np.sum(np.multiply(np.conjugate(phis, out=tmp), jphi, out=tmp), axis=0,
            out=v)
@@ -481,7 +461,7 @@ def _rates(alphas, phis, spec, t, workspace=None):
     np.multiply(-1j, np.conjugate(alphas[0], out=factor), out=factor)
     term += np.multiply(factor, jphi, out=jphi)
     np.multiply(-1j, v, out=v)
-    return a_dot, term
+    return rates
 
 
 def step(chain: ChainState, spec: ModelSpec, eps: float,
@@ -494,9 +474,9 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     one forward Euler step; ``integrator='rk4'`` takes one classical
     fourth-order Runge-Kutta step, whose four rate evaluations run at
     times t, t + eps/2, t + eps/2 and t + eps, and is what the runner
-    uses. The cycle runs on component-major copies of the chain arrays,
-    in the buffers of the chain's update workspace (``_Workspace``),
-    which the returned chain carries on to its own step.
+    uses. The cycle runs on one (1 + d, N) copy of the chain, in the
+    buffers of the chain's update workspace (``_Workspace``), which the
+    returned chain carries on to its own step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -507,39 +487,32 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
             f"the chain update is single-mode; got {chain.n_modes} modes")
     n, d = chain.n_points, chain.d
     ws = _workspace_for(chain._workspace, n, d)
-    alphas = chain.alphas.T  # (1, N) and already C-contiguous
-    phis = ws.array("phis", (d, n))
-    np.copyto(phis, chain.phis.T)
-    a_dot, p_dot = _rates(alphas, phis, spec, chain.time, workspace=ws)
+    y = ws.array("state", (1 + d, n))
+    np.copyto(y[:1], chain.alphas.T)
+    np.copyto(y[1:], chain.phis.T)
+    rates = _rates(y, spec, chain.time, workspace=ws)
     if integrator == "rk4":
-        stage_a = ws.array("stage_alphas", (1, n))
-        stage_p = ws.array("stage_phis", (d, n))
-        slope = ws.array("rk4_slope", (d + 1, n))
-        slope_a, slope_p = slope[:1], slope[1:]
+        stage = ws.array("stage", (1 + d, n))
+        slope = ws.array("rk4_slope", (1 + d, n))
         slope.fill(0.0)
         half = 0.5 * eps
         for reach, weight in ((half, 1 / 6), (half, 1 / 3), (eps, 1 / 3)):
             # the next stage's input y + reach k, then k's share of the
-            # mean slope (k1 + 2 k2 + 2 k3 + k4) / 6: the rates are views
-            # of buffers that the next _rates call overwrites
-            np.add(alphas, np.multiply(reach, a_dot, out=stage_a), out=stage_a)
-            np.add(phis, np.multiply(reach, p_dot, out=stage_p), out=stage_p)
-            slope_a += np.multiply(weight, a_dot, out=a_dot)
-            slope_p += np.multiply(weight, p_dot, out=p_dot)
-            a_dot, p_dot = _rates(stage_a, stage_p, spec, chain.time + reach,
-                                  workspace=ws)
-        slope_a += np.multiply(1 / 6, a_dot, out=a_dot)
-        slope_p += np.multiply(1 / 6, p_dot, out=p_dot)
-        a_dot, p_dot = slope_a, slope_p
+            # mean slope (k1 + 2 k2 + 2 k3 + k4) / 6: the rates are a view
+            # of a buffer that the next _rates call overwrites
+            np.add(y, np.multiply(reach, rates, out=stage), out=stage)
+            slope += np.multiply(weight, rates, out=rates)
+            rates = _rates(stage, spec, chain.time + reach, workspace=ws)
+        slope += np.multiply(1 / 6, rates, out=rates)
+        rates = slope
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
-    # the updated arrays overwrite the rates; ChainState copies them out
-    np.add(alphas, np.multiply(eps, a_dot, out=a_dot), out=a_dot)
-    np.add(phis, np.multiply(eps, p_dot, out=p_dot), out=p_dot)
+    # the updated state overwrites the rates; ChainState copies it out
+    np.add(y, np.multiply(eps, rates, out=rates), out=rates)
     out = ChainState(
         time=chain.time + eps,
-        alphas=a_dot.T,
-        phis=p_dot.T,
+        alphas=rates[:1].T,
+        phis=rates[1:].T,
         segment_starts=chain.segment_starts,
         n_steps=chain.n_steps + 1,
         lineage=chain.lineage,

@@ -4,15 +4,17 @@ Layout (little-endian):
 
     bytes 0..7    magic b"SCCHKPT1"
     bytes 8..15   u64 length of the JSON header
-    header        UTF-8 JSON: run metadata, resolved config, RNG state,
-                  CSV rows emitted so far (pre-formatted strings), and
-                  the shapes of the binary arrays that follow
+    header        UTF-8 JSON: run metadata, resolved config, CSV rows
+                  emitted so far (pre-formatted strings), and the
+                  shapes of the binary arrays that follow
     arrays        raw complex128 C-order buffers, in header order:
                   chain alphas, chain phis, then oracle amplitudes when
                   the run carries the quantum reference
 
 Rows are stored as the exact strings already written to the CSV so a
-resumed run reproduces the uninterrupted output byte for byte.
+resumed run reproduces the uninterrupted output byte for byte. A run
+draws only its initial chain, so no generator state is stored; the
+loader ignores the one that older versions wrote.
 """
 
 import json
@@ -32,13 +34,12 @@ class CheckpointError(SemichainError):
     """Checkpoint file is malformed or from an unknown version."""
 
 
-def save_checkpoint(path, *, config_resolved, rng_state, rows, blocks_done,
-                    chain=None, oracle_state=None):
+def save_checkpoint(path, *, config_resolved, rows, blocks_done, chain=None,
+                    oracle_state=None):
     """Write a checkpoint atomically (write temp file, then replace)."""
     header = {
         "version": 1,
         "config": config_resolved,
-        "rng_state": _encode_rng(rng_state),
         "rows": rows,
         "blocks_done": blocks_done,
         "arrays": [],
@@ -73,7 +74,7 @@ def save_checkpoint(path, *, config_resolved, rng_state, rows, blocks_done,
 
 def load_checkpoint(path):
     """Read a checkpoint; returns a dict with chain/oracle states, rows,
-    RNG state and the resolved config."""
+    the number of blocks done and the resolved config."""
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != MAGIC:
@@ -91,7 +92,6 @@ def load_checkpoint(path):
             arrays[name] = np.frombuffer(buf, dtype=np.complex128).reshape(shape).copy()
     out = {
         "config": header["config"],
-        "rng_state": _decode_rng(header["rng_state"]),
         "rows": header["rows"],
         "blocks_done": header["blocks_done"],
         "chain": None,
@@ -107,26 +107,3 @@ def load_checkpoint(path):
         out["oracle"] = FockCompositeState(
             amplitudes=arrays["oracle"], time=header["oracle"]["time"])
     return out
-
-
-def _encode_rng(state):
-    # PCG64 state dicts hold big integers; JSON keeps them exact as strings
-    def enc(x):
-        if isinstance(x, dict):
-            return {k: enc(v) for k, v in x.items()}
-        if isinstance(x, int):
-            return {"__int__": str(x)}
-        return x
-
-    return enc(state)
-
-
-def _decode_rng(state):
-    def dec(x):
-        if isinstance(x, dict):
-            if set(x) == {"__int__"}:
-                return int(x["__int__"])
-            return {k: dec(v) for k, v in x.items()}
-        return x
-
-    return dec(state)

@@ -26,10 +26,6 @@ ORACLE_DEFAULTS = {
     "cutoff": 16,
 }
 
-SCHEDULE_DEFAULTS = {
-    "record_every": None,     # None -> t_final (record only start and end)
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -12,9 +12,8 @@ Hamiltonian H_S, whose exponential action is a Chebyshev expansion
 (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) with H_S applied
 matrix-free to the amplitude array. Everything the
 semiclassical chain claims to reproduce is computed here exactly
-(within truncation): coherent-state amplitudes, the phase-space density,
-Bargmann projections, and antinormally ordered expectations. The module
-needs numpy alone.
+(within truncation): coherent-state amplitudes, Bargmann projections,
+and antinormally ordered expectations. The module needs numpy alone.
 """
 
 from dataclasses import dataclass
@@ -300,12 +299,6 @@ def coherent_amplitude(state: FockCompositeState, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     gauss = np.exp(-0.5 * float(np.sum(np.abs(alpha) ** 2)))
     return gauss * bargmann_projection(state, alpha.conj())
-
-
-def q_function(state: FockCompositeState, alpha) -> float:
-    """Phase-space density ||<alpha|Psi>||^2 (measure d^2alpha / pi per mode)."""
-    psi = coherent_amplitude(state, alpha)
-    return float(np.sum(np.abs(psi) ** 2))
 
 
 def _pad_modes(amps: np.ndarray, extra: tuple) -> np.ndarray:

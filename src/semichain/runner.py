@@ -7,6 +7,9 @@ seed and config give byte-identical CSV output; a resumed run continues
 from the checkpoint and reproduces the uninterrupted file exactly
 (emitted rows are stored in the checkpoint verbatim).
 
+The seed is read once, by the initial chain's draw; the steps after it
+are deterministic, so no generator state is checkpointed or restored.
+
 The chain steps by RK4 (``INTEGRATOR``; ``step`` defaults to Euler);
 estimates and the oracle's tail check use the library defaults.
 
@@ -69,8 +72,6 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
     a partial run).
     """
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(config.seed)
-
     chain_state = None
     oracle_state = None
     if config.engine in ("chain", "both"):
@@ -78,14 +79,15 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
         phi0 = coherent_bargmann(config.alpha0, config.atomic)
         _log(f"sampling initial chain: N={config.chain['n_points']}")
         chain_state = initial_chain(
-            phi0, config.spec.n_modes, config.chain["n_points"], rng=rng,
+            phi0, config.spec.n_modes, config.chain["n_points"],
+            rng=np.random.default_rng(config.seed),
             lineage=(f"seed={config.seed}",))
     if config.engine in ("oracle", "both"):
         cutoffs = [config.oracle["cutoff"]] * config.spec.n_modes
         oracle_state = build_initial(config.spec, config.atomic, config.alpha0,
                                      cutoffs)
     rows = _emit_rows(0.0, config, chain_state, oracle_state)
-    return _run_loop(config, out_dir, rng, chain_state, oracle_state, rows,
+    return _run_loop(config, out_dir, chain_state, oracle_state, rows,
                      blocks_done=0, stop_after_blocks=stop_after_blocks)
 
 
@@ -95,16 +97,14 @@ def resume(checkpoint_path, out_dir) -> dict:
     data = load_checkpoint(checkpoint_path)
     config = validate_config(data["config"])
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(config.seed)
-    rng.bit_generator.state = data["rng_state"]
     _log(f"resuming after block {data['blocks_done']} "
          f"from {checkpoint_path}")
-    return _run_loop(config, out_dir, rng, data["chain"], data["oracle"],
+    return _run_loop(config, out_dir, data["chain"], data["oracle"],
                      list(data["rows"]), blocks_done=data["blocks_done"])
 
 
-def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
-              rows, blocks_done, stop_after_blocks=None) -> dict:
+def _run_loop(config: RunConfig, out_dir, chain_state, oracle_state, rows,
+              blocks_done, stop_after_blocks=None) -> dict:
     n_blocks, steps_per_block = _schedule(config)
     eps = config.chain["eps"]
     csv_path = os.path.join(out_dir, "timeseries.csv")
@@ -120,8 +120,7 @@ def _run_loop(config: RunConfig, out_dir, rng, chain_state, oracle_state,
                                   config.record_every)
         t = (block + 1) * config.record_every
         rows.extend(_emit_rows(t, config, chain_state, oracle_state))
-        save_checkpoint(ckpt_path, config_resolved=config.resolved,
-                        rng_state=rng.bit_generator.state, rows=rows,
+        save_checkpoint(ckpt_path, config_resolved=config.resolved, rows=rows,
                         blocks_done=block + 1, chain=chain_state,
                         oracle_state=oracle_state)
         _log(f"block {block + 1}/{n_blocks} done (t={t:.6g})")

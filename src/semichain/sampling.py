@@ -89,6 +89,16 @@ def _complex_normals(rng, n, n_modes):
     return (g[:, :n_modes] + 1j * g[:, n_modes:]) / np.sqrt(2.0)
 
 
+def _log_weights(values, alphas):
+    """log of e^{-|alpha|^2} ||phi||^2 per row of the states ``values`` at
+    ``alphas``; -inf where phi vanishes or is not finite."""
+    n2 = np.einsum("ki,ki->k", values.conj(), values).real
+    ok = (n2 > 0.0) & (n2 < math.inf)
+    out = np.full(n2.shape, -math.inf)
+    out[ok] = np.log(n2[ok]) - np.sum(np.abs(alphas[ok]) ** 2, axis=1)
+    return out
+
+
 def log_weight_from_phi(phi, n_modes):
     """Log of e^{-|alpha|^2} ||phi(alpha*)||^2 as a batched weight: it
     maps an (n, n_modes) array to n log weights, -inf where phi vanishes
@@ -101,11 +111,7 @@ def log_weight_from_phi(phi, n_modes):
             v = values(alphas)
         else:
             v = np.array([phi(np.conj(a)) for a in alphas], dtype=complex)
-        n2 = np.sum(np.abs(v) ** 2, axis=1)
-        ok = (n2 > 0.0) & (n2 < math.inf)
-        out = np.full(n2.shape, -math.inf)
-        out[ok] = np.log(n2[ok]) - np.sum(np.abs(alphas[ok]) ** 2, axis=1)
-        return out
+        return _log_weights(v, alphas)
 
     return log_weights
 

@@ -62,6 +62,13 @@ def random_fock_state(rng, d=2, cutoff=5, decay=0.4):
     return sc.FockCompositeState(amplitudes=amps, time=0.0)
 
 
+def q_function(state, alpha):
+    """Phase-space density ||<alpha|Psi>||^2 (measure d^2alpha / pi per
+    mode), from ``coherent_amplitude``."""
+    psi = sc.coherent_amplitude(state, alpha)
+    return float(np.sum(np.abs(psi) ** 2))
+
+
 def bargmann_values(state, z):
     """The conditional state Phi(z) of a single-mode oracle state at
     many points z = alpha*, shape (len(z), d): a power basis

@@ -13,6 +13,7 @@ from semichain.checkpoint import save_checkpoint
 from semichain.config import CHAIN_DEFAULTS
 from semichain.errors import (DegenerateIncrement, DimensionMismatch,
                               InterpolationDegraded, ZeroNormConditionalState)
+from semichain.model import rotated_currents
 from semichain.observables import Observable, mode_monomial
 from semichain.oracle import bargmann_projection
 from semichain.runner import INTEGRATOR
@@ -32,51 +33,58 @@ def _walk_chain(phi, n=200, step=0.05, seed=11, d=2, center=0.0,
                       segment_starts=segment_starts)
 
 
-# ---------------------------------------------------------------- scalar ops
+# ------------------------------------------------- per-point references
+
+def _conditional_expectation(phi, f):
+    """<phi|F|phi> / <phi|phi> of one state; the norm of phi cancels."""
+    return np.vdot(phi, f @ phi) / np.vdot(phi, phi).real
+
+
+def _drift_velocity(phi, t, spec):
+    """Phase-space velocity -i <j(t)> of one point of a single-mode
+    chain whose state is phi."""
+    (j,) = rotated_currents(spec, t)
+    return -1j * _conditional_expectation(phi, j)
+
+
+def _uniform_chain(phi, n=40, seed=7):
+    """A chain of iid positions whose points all carry the state phi."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
+    return ChainState(time=0.0, alphas=alphas,
+                      phis=np.tile(np.asarray(phi, dtype=complex), (n, 1)))
+
 
 def test_conditional_expectation_basics(pauli):
-    assert sc.conditional_expectation([1.0, 0.0], pauli["z"]) == pytest.approx(1.0)
-    assert sc.conditional_expectation([1.0, 1.0], pauli["z"]) == pytest.approx(0.0)
+    # estimate reads <phi|F|phi> / <phi|phi> at every point
+    sz = sc.atomic_observable(pauli["z"], 1, name="sz")
     # unnormalized states give the same ratio
-    assert sc.conditional_expectation([2.0, 0.0], pauli["z"]) == pytest.approx(1.0)
+    for phi, expected in (([1.0, 0.0], 1.0), ([1.0, 1.0], 0.0),
+                          ([2.0, 0.0], 1.0)):
+        val, se = sc.estimate(_uniform_chain(phi), sz)
+        assert val == pytest.approx(expected, abs=1e-15)
+        assert se == pytest.approx(0.0, abs=1e-15)
 
 
-def test_conditional_expectation_identity_is_exactly_one(pauli):
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        phi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert sc.conditional_expectation(phi, pauli["id"]) == 1.0
-
-
-def test_conditional_expectation_zero_norm(pauli):
-    with pytest.raises(ZeroNormConditionalState):
-        sc.conditional_expectation([0.0, 0.0], pauli["z"])
-
-
-def test_conditional_expectation_scale_invariance(pauli):
-    phi = np.array([0.3 + 1j, -0.7])
-    c = 3.0 * np.exp(1j * np.pi / 7)
-    for f in (pauli["x"], pauli["minus"]):
-        assert sc.conditional_expectation(c * phi, f) == pytest.approx(
-            sc.conditional_expectation(phi, f))
+def _assert_euler_moves_by(spec, phi, velocity):
+    # one Euler step moves every point by its drift velocity times eps
+    ch = _uniform_chain(phi)
+    eps = 1e-3
+    out = sc.step(ch, spec, eps)
+    assert np.max(np.abs(out.alphas - ch.alphas - velocity * eps)) <= 1e-12
 
 
 def test_drift_velocity_scalar_current():
-    spec = sc.classical_current_model(0.5, 1.0)
-    v = sc.drift_velocity(np.array([1.0 + 0j]), 0.0, spec)
-    assert v[0] == pytest.approx(-0.5j)
+    _assert_euler_moves_by(sc.classical_current_model(0.5, 1.0), [1.0], -0.5j)
 
 
 def test_drift_velocity_ground_state(jc_spec):
-    v = sc.drift_velocity(np.array([0.0, 1.0]), 0.0, jc_spec)
-    assert v[0] == pytest.approx(0.0)
+    _assert_euler_moves_by(jc_spec, [0.0, 1.0], 0.0)
 
 
 def test_drift_velocity_superposition(pauli):
     spec = sc.ModelSpec(h0=np.zeros((2, 2)), modes=[sc.FieldMode(0.0, pauli["minus"])])
-    phi = np.array([1.0, 1.0]) / np.sqrt(2)
-    v = sc.drift_velocity(phi, 0.0, spec)
-    assert v[0] == pytest.approx(-0.5j)
+    _assert_euler_moves_by(spec, np.array([1.0, 1.0]) / np.sqrt(2), -0.5j)
 
 
 # ------------------------------------------------------------ chain state
@@ -261,7 +269,7 @@ def test_step_first_moment_matches_mean_drift(jc_spec):
     rng = np.random.default_rng(29)
     ch = sc.initial_chain(phi0, 1, 500, 0.45, rng)
     eps = 1e-3
-    vels = np.array([sc.drift_velocity(ch.phis[k], ch.time, jc_spec)[0]
+    vels = np.array([_drift_velocity(ch.phis[k], ch.time, jc_spec)
                      for k in range(ch.n_points)])
     out = sc.step(ch, jc_spec, eps)
     lhs = (out.alphas[:, 0].mean() - ch.alphas[:, 0].mean()) / eps
@@ -393,7 +401,6 @@ def test_workspace_is_invisible(jc_spec, tmp_path):
     for name, state in (("stepped", ch), ("rebuilt", twin)):
         path = tmp_path / name
         save_checkpoint(path, config_resolved={}, rows=[], blocks_done=1,
-                        rng_state=np.random.default_rng(0).bit_generator.state,
                         chain=state)
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
@@ -436,15 +443,16 @@ def test_estimate_scale_invariance(pauli, jc_spec):
     phi0 = sc.coherent_bargmann([1.0], [0.6, 0.8])
     rng = np.random.default_rng(61)
     ch = sc.initial_chain(phi0, 1, 300, 0.45, rng)
-    obs = sc.atomic_observable(pauli["z"], 1, name="sz")
-    val0, se0 = sc.estimate(ch, obs)
     phis = ch.phis.copy()
     phis[7] *= 3.0 * np.exp(1j * np.pi / 7)
     ch2 = ChainState(time=ch.time, alphas=ch.alphas, phis=phis,
                      segment_starts=ch.segment_starts)
-    val1, se1 = sc.estimate(ch2, obs)
-    assert val1 == pytest.approx(val0, abs=1e-12)
-    assert se1 == pytest.approx(se0, abs=1e-12)
+    for f in ("z", "x", "minus"):
+        obs = sc.atomic_observable(pauli[f], 1, name=f)
+        val0, se0 = sc.estimate(ch, obs)
+        val1, se1 = sc.estimate(ch2, obs)
+        assert val1 == pytest.approx(val0, abs=1e-12)
+        assert se1 == pytest.approx(se0, abs=1e-12)
 
 
 def test_estimate_batch_count_controls_batching(jc_spec):

@@ -7,7 +7,7 @@ from semichain.observables import Observable, mode_monomial
 from semichain.oracle import (_hamiltonian, _rhs, coherent_fock_vector,
                               tail_mass)
 
-from conftest import disk_grid, quad_phase_plane, random_fock_state
+from conftest import disk_grid, q_function, quad_phase_plane, random_fock_state
 
 
 def test_build_initial_vacuum(jc_spec):
@@ -168,8 +168,8 @@ def test_q_function_vacuum():
     amps[0, 0] = 1.0
     st = sc.FockCompositeState(amplitudes=amps)
     for a in (0.0, 0.5 + 0.5j, 2.0):
-        assert sc.q_function(st, [a]) == pytest.approx(np.exp(-abs(a) ** 2),
-                                                       abs=1e-12)
+        assert q_function(st, [a]) == pytest.approx(np.exp(-abs(a) ** 2),
+                                                    abs=1e-12)
 
 
 def test_q_function_coherent_gaussian():
@@ -178,14 +178,14 @@ def test_q_function_coherent_gaussian():
     st = sc.build_initial(spec, [1.0], [a0], [20])
     for a in (0.3, 1.2 + 0.5j):
         expected = np.exp(-abs(a - a0) ** 2)
-        assert sc.q_function(st, [a]) == pytest.approx(expected, abs=1e-9)
+        assert q_function(st, [a]) == pytest.approx(expected, abs=1e-9)
 
 
 def test_q_function_normalization_by_quadrature():
     rng = np.random.default_rng(23)
     st = random_fock_state(rng, d=2, cutoff=5)
     alphas, weight = disk_grid(radius=6.0, n=96)
-    vals = np.array([sc.q_function(st, [a]) for a in alphas])
+    vals = np.array([q_function(st, [a]) for a in alphas])
     assert quad_phase_plane(vals, weight) == pytest.approx(1.0, abs=1e-4)
 
 
@@ -217,7 +217,7 @@ def test_antinormal_quadrature_bridge_scalar():
     st = random_fock_state(rng, d=1, cutoff=5)
     obs = Observable(f=None, poly=mode_monomial(1, 0, 1, 1), name="aad")
     alphas, weight = disk_grid(radius=6.0, n=96)
-    vals = np.array([abs(a) ** 2 * sc.q_function(st, [a]) for a in alphas])
+    vals = np.array([abs(a) ** 2 * q_function(st, [a]) for a in alphas])
     # the bridge identity is algebraic on the truncated state itself,
     # so the physical tail guard is irrelevant here
     expected = sc.antinormal_expectation(st, obs, tail_threshold=1.0)
