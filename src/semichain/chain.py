@@ -37,7 +37,8 @@ from .hilbert import as_operator
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
 from .sampling import (SamplerParams, _complex_normals, _log_weights,
-                       log_weight_from_phi, move_lockstep, sample_positions)
+                       _phi_values, log_weight_from_phi, move_lockstep,
+                       sample_positions)
 
 _DELTA_MIN = 1e-8  # a smaller increment repeats a point, or has collapsed
 DEFAULT_BATCH_COUNT = 32
@@ -55,8 +56,9 @@ class ChainState:
     take differences within a segment, never across its boundaries. Any
     other chain, a coherent start's iid cloud among them, is one segment
     (``segment_starts == [0]``). The update, ``estimate`` and
-    ``reformat`` read no segments. ``lineage`` records how the chain was
-    produced, ``n_steps`` counts update cycles applied since sampling.
+    ``reformat`` read no segments. After the draw the update is
+    deterministic, so the time, points, states and segments are all a
+    prediction needs.
 
     A chain returned by ``step`` also carries the update workspace that
     its next ``step`` reuses; it is not part of the snapshot, so it
@@ -68,8 +70,6 @@ class ChainState:
     alphas: np.ndarray
     phis: np.ndarray
     segment_starts: np.ndarray = None
-    n_steps: int = 0
-    lineage: tuple = ()
     _workspace: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -103,8 +103,7 @@ class ChainState:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.time == other.time and self.n_steps == other.n_steps
-                and self.lineage == other.lineage
+        return (self.time == other.time
                 and all(np.array_equal(getattr(self, f), getattr(other, f))
                         for f in ("segment_starts", "alphas", "phis")))
 
@@ -514,8 +513,6 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
         alphas=rates[:1].T,
         phis=rates[1:].T,
         segment_starts=chain.segment_starts,
-        n_steps=chain.n_steps + 1,
-        lineage=chain.lineage,
     )
     object.__setattr__(out, "_workspace", ws)
     return out
@@ -537,10 +534,7 @@ def estimate(chain: ChainState, obs: Observable,
         cond = np.ones(chain.n_points, dtype=complex)
     else:
         f = as_operator(obs.f, dim=chain.d)
-        norms2 = _norms2(chain.phis)
-        if np.any(norms2 == 0.0):
-            raise ZeroNormConditionalState("conditional state has zero norm")
-        cond = _cond_exp_batch(chain.phis, f, norms2)
+        cond = _cond_exp_batch(chain.phis, f, _norms2(chain.phis))
     vals = obs.poly_values(chain.alphas) * cond
     value = complex(vals.mean())
     b = max(2, min(batch_count, chain.n_points))
@@ -638,7 +632,7 @@ def coherent_bargmann(alpha0, atomic):
 def initial_chain(phi0, n_modes: int, n_points: int,
                   step_cap: float | None = None, rng=None,
                   params: SamplerParams | None = None,
-                  start=None, lineage: tuple = ("sampled",)) -> ChainState:
+                  start=None) -> ChainState:
     """Sample a chain from the weight e^{-|alpha|^2} ||phi0(alpha*)||^2
     and attach phi0 at the sampled points.
 
@@ -677,15 +671,11 @@ def initial_chain(phi0, n_modes: int, n_points: int,
         logw = log_weight_from_phi(phi0, n_modes)
         alphas, seg_starts = sample_positions(logw, n_modes, n_points, params,
                                               rng, start=start)
-    values = getattr(phi0, "values", None)
-    if values is not None:
-        phis = values(alphas)
-    else:
-        phis = np.array([phi0(np.conj(a)) for a in alphas], dtype=complex)
+    phis = _phi_values(phi0, alphas)
     if phis.ndim != 2:
         raise DimensionMismatch("phi0 must return a fixed-size vector")
     return ChainState(time=0.0, alphas=alphas, phis=phis,
-                      segment_starts=seg_starts, lineage=lineage)
+                      segment_starts=seg_starts)
 
 
 def standard_suite(d: int, n_modes: int) -> list:
@@ -756,9 +746,7 @@ def reformat(chain: ChainState, params: SamplerParams, rng,
                            params.segment_len - 1, params, rng)
     out = ChainState(time=chain.time, alphas=alphas,
                      phis=interp.values(alphas),
-                     segment_starts=chain.segment_starts,
-                     n_steps=chain.n_steps,
-                     lineage=chain.lineage + (f"reformat@t={chain.time:.6g}",))
+                     segment_starts=chain.segment_starts)
     after = [estimate(out, ob) for ob in suite]
     for ob, (v0, s0), (v1, s1) in zip(suite, before, after):
         tol = gate_factor * np.hypot(s0, s1) + 1e-12

@@ -9,18 +9,12 @@ to the output directory.
 """
 
 import argparse
-import json
 import sys
 
-from .config import validate_config
+from .config import parse_config_text, validate_config
 from .errors import ConfigError, SemichainError
 from .runner import resume as _resume
 from .runner import run as _run
-
-
-def _load_raw(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
 
 
 def main(argv=None) -> int:
@@ -48,34 +42,32 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "validate":
-            raw = _load_raw(args.config)
-            cfg = validate_config(raw)
-            print(f"ok: {len(cfg.observables)} observables, engine="
-                  f"{cfg.engine}, t_final={cfg.t_final}", file=sys.stderr)
-            return 0
-        if args.command == "run":
-            raw = _load_raw(args.config)
-            if args.seed is not None:
-                raw["seed"] = args.seed
-            cfg = validate_config(raw)
-            _run(cfg, args.output_dir)
-            return 0
         if args.command == "resume":
             _resume(args.checkpoint, args.output_dir)
             return 0
+        with open(args.config, "rb") as f:
+            raw = parse_config_text(f.read())
+        if args.command == "run" and args.seed is not None \
+                and isinstance(raw, dict):
+            raw["seed"] = args.seed
+        cfg = validate_config(raw)
+        if args.command == "run":
+            _run(cfg, args.output_dir)
+        else:
+            print(f"ok: {len(cfg.observables)} observables, engine="
+                  f"{cfg.engine}, t_final={cfg.t_final}", file=sys.stderr)
+        return 0
     except ConfigError as e:
         print("config errors:", file=sys.stderr)
         for problem in e.problems:
             print(f"  - {problem}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a path that cannot be read or written
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SemichainError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -220,6 +220,15 @@ def _section(raw, name, defaults, errors, applied):
     return out
 
 
+def parse_config_text(text):
+    """The JSON value in a config's text (str, or UTF-8 bytes); raises
+    ConfigError when the text is not valid JSON."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError([f"config is not valid JSON: {e}"]) from None
+
+
 def validate_config(raw) -> RunConfig:
     """Validate a raw config (dict or JSON text) into a RunConfig.
 
@@ -227,10 +236,7 @@ def validate_config(raw) -> RunConfig:
     anything is wrong; never stops at the first error.
     """
     if isinstance(raw, (str, bytes)):
-        try:
-            raw = json.loads(raw)
-        except json.JSONDecodeError as e:
-            raise ConfigError([f"config is not valid JSON: {e}"])
+        raw = parse_config_text(raw)
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     errors = []

@@ -48,9 +48,6 @@ class FockCompositeState:
     def n_modes(self) -> int:
         return self.amplitudes.ndim - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def coherent_fock_vector(alpha: complex, cutoff: int) -> np.ndarray:
     """Fock amplitudes <n|alpha> = e^{-|a|^2/2} a^n / sqrt(n!) up to cutoff."""

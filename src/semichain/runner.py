@@ -64,13 +64,11 @@ def _schedule(config: RunConfig):
     return n_blocks, steps_per_block
 
 
-def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
-    """Execute a run from scratch; returns the output paths.
-
-    ``stop_after_blocks`` ends the run early after that many recorded
-    blocks, leaving a checkpoint to resume from (no CSV is written for
-    a partial run).
-    """
+def run(config: RunConfig, out_dir) -> dict:
+    """Execute a run from scratch; returns the paths of the CSV, the
+    manifest and the last checkpoint. A run that is interrupted leaves
+    the checkpoint of its last finished block and no CSV; ``resume``
+    continues from it."""
     os.makedirs(out_dir, exist_ok=True)
     chain_state = None
     oracle_state = None
@@ -80,15 +78,14 @@ def run(config: RunConfig, out_dir, stop_after_blocks=None) -> dict:
         _log(f"sampling initial chain: N={config.chain['n_points']}")
         chain_state = initial_chain(
             phi0, config.spec.n_modes, config.chain["n_points"],
-            rng=np.random.default_rng(config.seed),
-            lineage=(f"seed={config.seed}",))
+            rng=np.random.default_rng(config.seed))
     if config.engine in ("oracle", "both"):
         cutoffs = [config.oracle["cutoff"]] * config.spec.n_modes
         oracle_state = build_initial(config.spec, config.atomic, config.alpha0,
                                      cutoffs)
     rows = _emit_rows(0.0, config, chain_state, oracle_state)
     return _run_loop(config, out_dir, chain_state, oracle_state, rows,
-                     blocks_done=0, stop_after_blocks=stop_after_blocks)
+                     blocks_done=0)
 
 
 def resume(checkpoint_path, out_dir) -> dict:
@@ -104,7 +101,7 @@ def resume(checkpoint_path, out_dir) -> dict:
 
 
 def _run_loop(config: RunConfig, out_dir, chain_state, oracle_state, rows,
-              blocks_done, stop_after_blocks=None) -> dict:
+              blocks_done) -> dict:
     n_blocks, steps_per_block = _schedule(config)
     eps = config.chain["eps"]
     csv_path = os.path.join(out_dir, "timeseries.csv")
@@ -124,11 +121,6 @@ def _run_loop(config: RunConfig, out_dir, chain_state, oracle_state, rows,
                         blocks_done=block + 1, chain=chain_state,
                         oracle_state=oracle_state)
         _log(f"block {block + 1}/{n_blocks} done (t={t:.6g})")
-        if stop_after_blocks is not None and block + 1 >= stop_after_blocks \
-                and block + 1 < n_blocks:
-            _log(f"stopping early after block {block + 1}; resume from "
-                 f"{ckpt_path}")
-            return {"checkpoint": ckpt_path}
 
     with open(csv_path, "w") as f:
         f.write(CSV_HEADER + "\n")

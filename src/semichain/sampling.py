@@ -99,19 +99,22 @@ def _log_weights(values, alphas):
     return out
 
 
+def _phi_values(phi, alphas):
+    """phi(alpha_k*) at every row of the (n, n_modes) ``alphas``: through
+    ``phi.values`` when phi carries it, otherwise by one call per row."""
+    values = getattr(phi, "values", None)
+    if values is not None:
+        return values(alphas)
+    return np.array([phi(np.conj(a)) for a in alphas], dtype=complex)
+
+
 def log_weight_from_phi(phi, n_modes):
     """Log of e^{-|alpha|^2} ||phi(alpha*)||^2 as a batched weight: it
     maps an (n, n_modes) array to n log weights, -inf where phi vanishes
-    or is not finite. It evaluates phi through ``phi.values`` when phi
-    carries it, otherwise by one call per row."""
-    values = getattr(phi, "values", None)
+    or is not finite. It evaluates phi by ``_phi_values``."""
 
     def log_weights(alphas):
-        if values is not None:
-            v = values(alphas)
-        else:
-            v = np.array([phi(np.conj(a)) for a in alphas], dtype=complex)
-        return _log_weights(v, alphas)
+        return _log_weights(_phi_values(phi, alphas), alphas)
 
     return log_weights
 

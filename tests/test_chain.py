@@ -360,8 +360,7 @@ def _bits(chain):
 def _rebuilt(chain):
     """The same snapshot without the workspace ``step`` handed on."""
     return ChainState(time=chain.time, alphas=chain.alphas, phis=chain.phis,
-                      segment_starts=chain.segment_starts,
-                      n_steps=chain.n_steps, lineage=chain.lineage)
+                      segment_starts=chain.segment_starts)
 
 
 def _sampled_chain(n=800, seed=53):

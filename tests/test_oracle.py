@@ -48,7 +48,7 @@ def test_evolve_classical_current_displaces_vacuum():
     target = coherent_fock_vector(alpha_t, 16)
     overlap = abs(np.vdot(target, out.amplitudes[0]))
     assert overlap > 1.0 - 1e-6
-    assert abs(out.norm() - 1.0) < 1e-9
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
 def test_evolve_jaynes_cummings_rabi(jc_spec, pauli):
@@ -65,7 +65,7 @@ def test_evolve_jaynes_cummings_rabi(jc_spec, pauli):
 def test_evolve_norm_conservation(jc_spec):
     st = sc.build_initial(jc_spec, [1.0, 0.0], [1.0], [16])
     out = sc.evolve(st, jc_spec, 3.0)
-    assert abs(out.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 def _non_rwa_state(t0):

@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from semichain.checkpoint import CheckpointError, load_checkpoint
+from semichain import runner
+from semichain.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semichain.cli import main as cli_main
 from semichain.config import validate_config
 from semichain.runner import CSV_HEADER, resume, run
@@ -73,39 +74,74 @@ def test_seed_changes_output(tmp_path):
     assert read(p1["timeseries"]) != read(p2["timeseries"])
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
+class _Interrupted(Exception):
+    """Stands for whatever stops a run between two blocks, a kill say."""
+
+
+def _interrupted_run(cfg, out_dir, monkeypatch):
+    """Run ``cfg`` until the checkpoint of its first block is written,
+    then stop it the way an interruption would; returns the checkpoint's
+    path."""
+    def save_then_stop(path, **kwargs):
+        save_checkpoint(path, **kwargs)
+        if kwargs["blocks_done"] == 1:
+            raise _Interrupted
+
+    with monkeypatch.context() as m:
+        m.setattr(runner, "save_checkpoint", save_then_stop)
+        with pytest.raises(_Interrupted):
+            run(cfg, out_dir)
+    assert not (out_dir / "timeseries.csv").exists()  # no CSV for a partial run
+    return out_dir / "checkpoint.bin"
+
+
+def test_resume_reproduces_uninterrupted_run(tmp_path, monkeypatch):
     cfg = validate_config(small_config())
     full = run(cfg, tmp_path / "full")
-    partial = run(cfg, tmp_path / "part", stop_after_blocks=1)
-    assert "timeseries" not in partial  # no CSV for a partial run
-    resumed = resume(partial["checkpoint"], tmp_path / "part")
+    partial = _interrupted_run(cfg, tmp_path / "part", monkeypatch)
+    resumed = resume(partial, tmp_path / "part")
     assert read(resumed["timeseries"]) == read(full["timeseries"])
 
 
-def _add_generator_state(path):
-    """Give a checkpoint's header the ``rng_state`` key that older
-    versions wrote: a PCG64 state with every integer as a string."""
+def _with_blob(raw, edit):
+    """The checkpoint bytes ``raw`` with the header's JSON text passed
+    through ``edit``; the arrays that follow it are kept."""
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
+    blob = edit(raw[16:16 + hlen])
+    return raw[:8] + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen:]
+
+
+def _with_header(raw, edit):
+    """The checkpoint bytes ``raw`` with its parsed header changed in
+    place by ``edit``."""
+    def rewrite(blob):
+        header = json.loads(blob)
+        edit(header)
+        return json.dumps(header).encode("utf-8")
+
+    return _with_blob(raw, rewrite)
+
+
+def _as_older_version(header):
+    """Give the header of a checkpoint after one step the keys that older
+    versions wrote: the chain's ``n_steps`` and ``lineage``, and an
+    ``rng_state``, a PCG64 state with every integer as a string."""
     def enc(x):
         if isinstance(x, dict):
             return {k: enc(v) for k, v in x.items()}
         return {"__int__": str(x)} if isinstance(x, int) else x
 
-    with open(path, "rb") as f:
-        magic, (hlen,) = f.read(8), struct.unpack("<Q", f.read(8))
-        header = json.loads(f.read(hlen))
-        arrays = f.read()
+    header["chain"]["n_steps"] = 1
+    header["chain"]["lineage"] = ["seed=42"]
     header["rng_state"] = enc(np.random.default_rng(42).bit_generator.state)
-    blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic + struct.pack("<Q", len(blob)) + blob + arrays)
 
 
-def test_resume_from_a_checkpoint_with_a_generator_state(tmp_path):
+def test_resume_from_a_checkpoint_with_a_generator_state(tmp_path, monkeypatch):
     cfg = validate_config(small_config())
     full = run(cfg, tmp_path / "full")
-    partial = run(cfg, tmp_path / "part", stop_after_blocks=1)
-    _add_generator_state(partial["checkpoint"])
-    resumed = resume(partial["checkpoint"], tmp_path / "part")
+    partial = _interrupted_run(cfg, tmp_path / "part", monkeypatch)
+    partial.write_bytes(_with_header(read(partial), _as_older_version))
+    resumed = resume(partial, tmp_path / "part")
     assert read(resumed["timeseries"]) == read(full["timeseries"])
 
 
@@ -163,16 +199,72 @@ def test_cli_run_and_seed_override(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
-def test_cli_resume(tmp_path):
+def test_cli_resume(tmp_path, monkeypatch):
     cfg = validate_config(small_config(engine="oracle"))
-    partial = run(cfg, tmp_path / "out", stop_after_blocks=1)
-    assert cli_main(["resume", str(partial["checkpoint"]),
+    partial = _interrupted_run(cfg, tmp_path / "out", monkeypatch)
+    assert cli_main(["resume", str(partial),
                      "--output-dir", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "timeseries.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def finished_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("finished")
+    return run(validate_config(small_config(n_points=40)), out)["checkpoint"]
+
+
+MALFORMED = {
+    "missing_key": lambda raw: _with_header(raw, lambda h: h.pop("rows")),
+    "wrong_type_rows": lambda raw: _with_header(
+        raw, lambda h: h.update(rows=[1.0, 2.0])),
+    "wrong_type_time": lambda raw: _with_header(
+        raw, lambda h: h["chain"].update(time="0.25")),
+    "json_cut_short": lambda raw: _with_blob(raw, lambda b: b[:len(b) // 2]),
+    "not_utf8": lambda raw: _with_blob(raw, lambda b: b"\xff" + b[1:]),
+    "short_prelude": lambda raw: raw[:12],
+    "array_does_not_fit": lambda raw: raw[:-16],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_is_one_error_line(case, finished_checkpoint,
+                                                tmp_path, capsys):
+    path = tmp_path / "checkpoint.bin"
+    path.write_bytes(MALFORMED[case](read(finished_checkpoint)))
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        load_checkpoint(path)
+    capsys.readouterr()
+    assert cli_main(["resume", str(path), "--output-dir",
+                     str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: CheckpointError: ")
+    assert not (tmp_path / "out" / "timeseries.csv").exists()
+
+
 def test_cli_missing_file(tmp_path):
     assert cli_main(["run", str(tmp_path / "none.json")]) == 2
+
+
+@pytest.mark.parametrize("content, command", [
+    (b'{"model": ', "validate"),
+    (b"\xff\xfe{}", "validate"),
+    (b"[1, 2]", "run"),
+], ids=["json_cut_short", "not_utf8", "not_an_object"])
+def test_cli_reports_an_unusable_config(content, command, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    extra = (["--seed", "3", "--output-dir", str(tmp_path / "out")]
+             if command == "run" else [])
+    assert cli_main([command, str(path)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config errors:\n  - config ")
+    assert len(err.strip().split("\n")) == 2
+
+
+def test_cli_config_path_is_a_directory(tmp_path, capsys):
+    assert cli_main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_csv_schema_matches_contract(tmp_path):
