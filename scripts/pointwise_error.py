@@ -41,7 +41,6 @@ its Gaussian weight).
 """
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -82,13 +81,10 @@ def bargmann_values(amplitudes, z):
 
 
 def set_fit_terms(k):
-    """Fit ``k`` terms: the chain module reads these globals per call."""
+    """Fit ``k`` terms: the chain module reads this global per call."""
     if k < 2:
         raise SystemExit("--terms must be at least 2")
     chain_module._FIT_TERMS = k
-    chain_module._SQRT = np.sqrt(np.arange(k))
-    chain_module._NORM = np.array([1.0 / math.sqrt(math.factorial(m))
-                                  for m in range(k)])
 
 
 def use_exact_derivative(oracle, spec):

@@ -25,6 +25,7 @@ fit's values. The update is single-mode; ``step`` rejects chains with
 more than one mode.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -89,10 +90,12 @@ class ChainState:
         if (np.einsum("ki,ki->k", flat, flat) == 0.0).any():
             raise ZeroNormConditionalState("chain contains a zero conditional state")
         starts = self.segment_starts
-        starts = np.array([0] if starts is None else starts, dtype=int)
-        if (starts[0] != 0 or (starts[1:] - starts[:-1] < 2).any()
+        starts = np.array([0] if starts is None else starts)
+        if (starts.dtype.kind != "i" or starts.ndim != 1 or starts.size == 0
+                or starts[0] != 0 or (starts[1:] - starts[:-1] < 2).any()
                 or starts[-1] > n - 2):
-            raise DimensionMismatch("segments must start at 0 and hold >= 2 points each")
+            raise DimensionMismatch("segment starts must be 1-D integers from "
+                                    "0, with >= 2 points per segment")
         alphas.setflags(write=False)
         phis.setflags(write=False)
         starts.setflags(write=False)
@@ -190,11 +193,13 @@ _FIT_TERMS = 8
 # A Cholesky pivot that keeps less than this fraction of its column's
 # squared norm means the fit's columns are numerically dependent.
 _PIVOT_FLOOR = 1e-8
-_SQRT = np.sqrt(np.arange(_FIT_TERMS))
-# 1 / sqrt(m!): the basis rows hold the bare powers w^m, and this
-# normalization is applied to the K x K and K x d arrays instead.
-_NORM = np.array([1.0 / math.sqrt(math.factorial(m))
-                  for m in range(_FIT_TERMS)])
+
+
+@functools.cache
+def _inverse_sqrt_factorials(k):
+    """1 / sqrt(m!) for m < k: the basis rows hold the bare powers w^m,
+    and this normalization goes on the K x K and K x d arrays instead."""
+    return np.array([1.0 / math.sqrt(math.factorial(m)) for m in range(k)])
 
 
 class _Workspace:
@@ -291,7 +296,7 @@ def _fill_basis(alphas, basis, carrier, parts, inverse=None, center=None):
 def _evaluate(coef, basis, carrier, out):
     """e^{beta w} sum_m coef_m w^m / sqrt(m!) on the columns that
     ``_fill_basis`` made, component-major (d, N), into ``out``."""
-    np.matmul(coef.T * _NORM, basis, out=out)
+    np.matmul(coef.T * _inverse_sqrt_factorials(coef.shape[0]), basis, out=out)
     out *= carrier
     return out
 
@@ -354,7 +359,7 @@ class BargmannInterpolant:
         so it must come before anything else writes there."""
         n, d = self._phis.shape
         dcoef = self._center.conjugate() * self.coef
-        dcoef[:-1] += _SQRT[1:, None] * self.coef[1:]
+        dcoef[:-1] += np.sqrt(np.arange(1, len(dcoef)))[:, None] * self.coef[1:]
         return _evaluate(dcoef, self._basis, self._carrier,
                          self._ws.array("deriv", (d, n)))
 
@@ -403,17 +408,19 @@ def _derivatives(alphas, phis, workspace=None):
 
 def _fit_coefficients(block, k, conj):
     """Least-squares coefficients, shape (k, d), of the rows
-    ``block[k:]`` in the basis rows ``_NORM[:k, None] * block[:k]``.
+    ``block[k:]`` in the basis rows ``norm[:, None] * block[:k]``, where
+    ``norm`` holds the 1 / sqrt(m!).
 
     One product of the whole block with the conjugated basis rows
     (written into ``conj``, shape (k, N)) gives the Gram matrix and the
     right-hand sides together, transposed; both are normalized
     afterwards.
     """
+    norm = _inverse_sqrt_factorials(k)
     normal = np.matmul(block, np.conjugate(block[:k], out=conj).T).T
-    normal *= _NORM[:k, None]
+    normal *= norm[:, None]
     gram, rhs = normal[:, :k], normal[:, k:]
-    gram *= _NORM[:k]
+    gram *= norm
     try:
         factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
@@ -421,7 +428,7 @@ def _fit_coefficients(block, k, conj):
     if factor is not None and (factor.diagonal().real ** 2
                                > _PIVOT_FLOOR * gram.diagonal().real).all():
         return np.linalg.solve(gram, rhs)
-    return np.linalg.lstsq(block[:k].T * _NORM[:k], block[k:].T, rcond=None)[0]
+    return np.linalg.lstsq(block[:k].T * norm, block[k:].T, rcond=None)[0]
 
 
 def _rates(y, spec, t, workspace=None):
@@ -631,21 +638,19 @@ def coherent_bargmann(alpha0, atomic):
 
 def initial_chain(phi0, n_modes: int, n_points: int,
                   step_cap: float | None = None, rng=None,
-                  params: SamplerParams | None = None,
-                  start=None) -> ChainState:
+                  params: SamplerParams | None = None) -> ChainState:
     """Sample a chain from the weight e^{-|alpha|^2} ||phi0(alpha*)||^2
     and attach phi0 at the sampled points.
 
     A phi0 that carries ``draw`` (a coherent start, ``coherent_bargmann``)
     is sampled exactly: its ``n_points`` points are iid, from one draw
-    of ``rng``, and form one segment. No Metropolis walk runs, so
-    ``start`` and every sampler parameter play no part (``step_cap`` may
-    be left out), and no point repeats another. Any other phi0 callable
-    is sampled by the Metropolis sampler (``sample_positions``), whose
-    walkers, one per segment of ``params.segment_len`` points, all
-    start at ``start`` (the origin if None; a weight that vanishes there
-    needs another) and move together, with the step cap of
-    ``step_cap`` or ``params``. The weight and the states come from
+    of ``rng``, and form one segment. No Metropolis walk runs, so no
+    sampler parameter plays a part (``step_cap`` may be left out), and
+    no point repeats another. Any other phi0 callable is sampled by the
+    Metropolis sampler (``sample_positions``), whose walkers, one per
+    segment of ``params.segment_len`` points, all start at the origin
+    (where the weight must not vanish) and move together, with the step
+    cap of ``step_cap`` or ``params``. The weight and the states come from
     ``phi0.values`` when phi0 carries it, otherwise from one call per
     point. The chain starts at time 0.
     """
@@ -670,7 +675,7 @@ def initial_chain(phi0, n_modes: int, n_points: int,
             params = SamplerParams(step_cap=step_cap)
         logw = log_weight_from_phi(phi0, n_modes)
         alphas, seg_starts = sample_positions(logw, n_modes, n_points, params,
-                                              rng, start=start)
+                                              rng)
     phis = _phi_values(phi0, alphas)
     if phis.ndim != 2:
         raise DimensionMismatch("phi0 must return a fixed-size vector")

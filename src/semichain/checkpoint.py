@@ -4,7 +4,7 @@ Layout (little-endian):
 
     bytes 0..7    magic b"SCCHKPT1"
     bytes 8..15   u64 length of the JSON header
-    header        UTF-8 JSON: run metadata, resolved config, CSV rows
+    header        UTF-8 JSON: run metadata, config echo, CSV rows
                   emitted so far (pre-formatted strings), the chain's
                   time and segment starts, the oracle's time, and the
                   shapes of the binary arrays that follow
@@ -87,13 +87,10 @@ def _parse(data):
             and type(out["blocks_done"]) is int and out["blocks_done"] >= 0):
         raise TypeError("config, rows or blocks_done has the wrong type")
     if "chain" in header:
-        meta = header["chain"]
-        starts = np.array(meta["segment_starts"])
-        if starts.dtype.kind != "i" or starts.ndim != 1 or starts.size == 0:
-            raise TypeError("segment_starts is not a list of integers")
+        meta = header["chain"]  # list(): a stored null is not the default
         out["chain"] = ChainState(
             time=_finite(meta["time"]), alphas=arrays["alphas"],
-            phis=arrays["phis"], segment_starts=starts)
+            phis=arrays["phis"], segment_starts=list(meta["segment_starts"]))
     if "oracle" in header:
         out["oracle"] = FockCompositeState(
             amplitudes=arrays["oracle"], time=_finite(header["oracle"]["time"]))

@@ -2,11 +2,12 @@
 
 A run is described by a single JSON document (key/value tree, arrays;
 complex numbers as two-element [re, im] arrays). Validation collects
-every problem it finds and reports them together; on success it returns
-a fully defaulted RunConfig plus the list of defaults that were applied
-so the run manifest can echo them.
+every problem it finds, an unknown key at any level among them, and
+reports them together; on success it returns a fully defaulted
+RunConfig, which echoes the document plus the defaults it applied.
 """
 
+import copy
 import json
 import math
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, SemichainError
 from .model import FieldMode, ModelSpec
-from .observables import Monomial, Observable
+from .observables import Monomial, Observable, unit_poly
 
 CHAIN_DEFAULTS = {
     "n_points": 20000,
@@ -26,10 +27,22 @@ ORACLE_DEFAULTS = {
     "cutoff": 16,
 }
 
+# The keys each object of a config may hold; any other is an unknown
+# option. A mode, an observable and a monomial are array entries.
+_KEYS = {
+    "config": ("model", "initial", "engine", "schedule", "chain", "oracle",
+               "observables", "seed"),
+    "model": ("h0", "modes"), "mode": ("omega", "j"),
+    "initial": ("atomic", "alpha0"), "schedule": ("t_final", "record_every"),
+    "chain": tuple(CHAIN_DEFAULTS), "oracle": tuple(ORACLE_DEFAULTS),
+    "observable": ("name", "f", "poly"), "monomial": ("c", "p", "q"),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, fully defaulted description of one run."""
+    """Validated, fully defaulted description of one run; ``resolved``
+    is the config as given plus ``applied_defaults``."""
 
     spec: ModelSpec
     atomic: np.ndarray
@@ -41,7 +54,7 @@ class RunConfig:
     record_every: float
     chain: dict
     oracle: dict
-    resolved: dict = field(repr=False)        # full config echo
+    resolved: dict = field(repr=False)
     applied_defaults: dict = field(repr=False)
 
 
@@ -96,18 +109,20 @@ def _complex_matrix(v, path, errors):
     return np.array(rows)
 
 
-def _to_jsonable(x):
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, np.ndarray):
-        if np.iscomplexobj(x):
-            return np.stack([x.real, x.imag], axis=-1).tolist()
-        return x.tolist()
-    if isinstance(x, dict):
-        return {k: _to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_to_jsonable(v) for v in x]
-    return x
+def _check_keys(obj, kind, prefix, errors):
+    """Report each key of ``obj`` not in ``_KEYS[kind]`` as unknown."""
+    errors.extend(f"{prefix}{key}: unknown option" for key in obj
+                  if key not in _KEYS[kind])
+
+
+def _powers(v, n_modes, path, errors):
+    """``v`` as a tuple if it holds n_modes non-negative ints, else None."""
+    if (isinstance(v, list) and len(v) == n_modes
+            and all(type(x) is int and x >= 0 for x in v)):
+        return tuple(v)
+    errors.append(f"{path}: expected an array of {n_modes} non-negative "
+                  f"integers, got {v!r}")
+    return None
 
 
 def _model_from(raw, errors):
@@ -115,6 +130,7 @@ def _model_from(raw, errors):
     if not isinstance(model, dict):
         errors.append("model: section missing")
         return None
+    _check_keys(model, "model", "model.", errors)
     h0 = _complex_matrix(model.get("h0", []), "model.h0", errors)
     modes_raw = model.get("modes")
     if not isinstance(modes_raw, list) or not modes_raw:
@@ -122,14 +138,20 @@ def _model_from(raw, errors):
         return None
     modes = []
     for i, m in enumerate(modes_raw):
+        path = f"model.modes[{i}]"
         if not isinstance(m, dict) or "omega" not in m or "j" not in m:
-            errors.append(f"model.modes[{i}]: need 'omega' and 'j'")
+            errors.append(f"{path}: need 'omega' and 'j'")
             continue
-        j = _complex_matrix(m["j"], f"model.modes[{i}].j", errors)
+        _check_keys(m, "mode", path + ".", errors)
+        j = _complex_matrix(m["j"], f"{path}.j", errors)
+        if not _finite_number(m["omega"]):
+            errors.append(f"{path}.omega: expected a finite number, "
+                          f"got {m['omega']!r}")
+            continue
         try:
             modes.append(FieldMode(float(m["omega"]), j))
-        except (TypeError, ValueError, SemichainError) as e:
-            errors.append(f"model.modes[{i}]: {e}")
+        except SemichainError as e:
+            errors.append(f"{path}: {e}")
     if errors:
         return None
     try:
@@ -152,7 +174,11 @@ def _observables_from(raw, n_modes, d, errors):
         if not isinstance(ob, dict):
             errors.append(f"{path}: expected an object")
             continue
-        name = ob.get("name", f"obs{i}")
+        _check_keys(ob, "observable", path + ".", errors)
+        name = ob.get("name", f"obs{i}")  # a CSV field, written unquoted
+        if not isinstance(name, str) or not name or set(name) & set(',"\r\n'):
+            errors.append(f"{path}.name: expected a non-empty string without "
+                          f"commas, double quotes or line breaks, got {name!r}")
         f = ob.get("f")
         fmat = None if f is None else _complex_matrix(f, f"{path}.f", errors)
         if fmat is not None and fmat.shape != (d, d):
@@ -160,7 +186,10 @@ def _observables_from(raw, n_modes, d, errors):
             continue
         poly_raw = ob.get("poly")
         if poly_raw is None:
-            poly = (Monomial(1.0, (0,) * n_modes, (0,) * n_modes),)
+            poly = unit_poly(n_modes)
+        elif not isinstance(poly_raw, list):
+            errors.append(f"{path}.poly: expected an array, got {poly_raw!r}")
+            continue
         else:
             poly = []
             for jm, mono in enumerate(poly_raw):
@@ -168,24 +197,16 @@ def _observables_from(raw, n_modes, d, errors):
                 if not isinstance(mono, dict):
                     errors.append(f"{mpath}: expected an object")
                     continue
+                _check_keys(mono, "monomial", mpath + ".", errors)
                 c = _complex_scalar(mono.get("c", 1.0), f"{mpath}.c", errors)
-                p = mono.get("p", [0] * n_modes)
-                q = mono.get("q", [0] * n_modes)
-                if len(p) != n_modes or len(q) != n_modes:
-                    errors.append(f"{mpath}: p and q need one entry per mode")
-                    continue
-                try:
-                    poly.append(Monomial(c, tuple(p), tuple(q)))
-                except ValueError as e:
-                    errors.append(f"{mpath}: {e}")
-            poly = tuple(poly)
+                p, q = (_powers(mono.get(key, [0] * n_modes), n_modes,
+                                f"{mpath}.{key}", errors) for key in "pq")
+                if p is not None and q is not None:
+                    poly.append(Monomial(c, p, q))
         if not poly:
             errors.append(f"{path}: empty polynomial")
             continue
-        try:
-            out.append(Observable(f=fmat, poly=poly, name=str(name)))
-        except (ValueError, SemichainError) as e:
-            errors.append(f"{path}: {e}")
+        out.append(Observable(f=fmat, poly=poly, name=name))
     return tuple(out)
 
 
@@ -208,16 +229,10 @@ def _section(raw, name, defaults, errors, applied):
     if not isinstance(section, dict):
         errors.append(f"{name}: expected an object")
         section = {}
-    for key in section:
-        if key not in defaults:
-            errors.append(f"{name}.{key}: unknown option")
-    out = dict(defaults)
-    for key, default in defaults.items():
-        if key in section:
-            out[key] = section[key]
-        else:
-            applied[f"{name}.{key}"] = default
-    return out
+    _check_keys(section, name, name + ".", errors)
+    applied.update((f"{name}.{key}", default)
+                   for key, default in defaults.items() if key not in section)
+    return {**defaults, **section}
 
 
 def parse_config_text(text):
@@ -230,19 +245,19 @@ def parse_config_text(text):
 
 
 def validate_config(raw) -> RunConfig:
-    """Validate a raw config (dict or JSON text) into a RunConfig.
+    """Validate a parsed config (see ``parse_config_text``) into a
+    RunConfig.
 
     Raises ConfigError carrying the complete list of problems when
     anything is wrong; never stops at the first error.
     """
-    if isinstance(raw, (str, bytes)):
-        raw = parse_config_text(raw)
     if not isinstance(raw, dict):
         raise ConfigError(["config must be a JSON object"])
     errors = []
     applied = {}
 
     spec = _model_from(raw, errors)
+    _check_keys(raw, "config", "", errors)
     engine = raw.get("engine", "both")
     if engine not in ("chain", "oracle", "both"):
         errors.append(f"engine: expected chain|oracle|both, got {engine!r}")
@@ -259,6 +274,7 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(schedule, dict):
         errors.append("schedule: section missing (needs t_final)")
     else:
+        _check_keys(schedule, "schedule", "schedule.", errors)
         t_final = _positive(schedule, "t_final", "schedule", errors)
         if "record_every" in schedule:
             record_every = _positive(schedule, "record_every", "schedule", errors)
@@ -271,6 +287,7 @@ def validate_config(raw) -> RunConfig:
     if not isinstance(initial, dict):
         errors.append("initial: section missing (needs atomic and alpha0)")
     else:
+        _check_keys(initial, "initial", "initial.", errors)
         atomic = _complex_vector(initial.get("atomic", []), "initial.atomic", errors)
         alpha0 = _complex_vector(initial.get("alpha0", []), "initial.alpha0", errors)
         nrm = np.linalg.norm(atomic)
@@ -322,18 +339,10 @@ def validate_config(raw) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    resolved = {
-        "model": _to_jsonable({"h0": spec.h0,
-                               "modes": [{"omega": m.omega, "j": m.j}
-                                         for m in spec.modes]}),
-        "initial": _to_jsonable({"atomic": atomic, "alpha0": alpha0}),
-        "engine": engine,
-        "schedule": {"t_final": t_final, "record_every": record_every},
-        "chain": dict(chain_cfg),
-        "oracle": dict(oracle_cfg),
-        "observables": raw.get("observables"),
-        "seed": seed,
-    }
+    resolved = copy.deepcopy(raw)
+    for key, value in applied.items():
+        section, _, name = key.rpartition(".")
+        (resolved.setdefault(section, {}) if section else resolved)[name] = value
     return RunConfig(
         spec=spec, atomic=atomic, alpha0=alpha0, engine=engine,
         observables=observables, seed=seed, t_final=t_final,

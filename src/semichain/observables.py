@@ -80,13 +80,13 @@ def unit_poly(n_modes: int) -> tuple:
     return (Monomial(1.0, zero, zero),)
 
 
-def mode_monomial(n_modes: int, mode: int, p: int, q: int, coeff=1.0) -> tuple:
-    """Single-mode monomial coeff * alpha_mode^p * conj(alpha_mode)^q."""
+def mode_monomial(n_modes: int, mode: int, p: int, q: int) -> tuple:
+    """Single-mode monomial alpha_mode^p * conj(alpha_mode)^q."""
     pv = [0] * n_modes
     qv = [0] * n_modes
     pv[mode] = p
     qv[mode] = q
-    return (Monomial(coeff, tuple(pv), tuple(qv)),)
+    return (Monomial(1.0, tuple(pv), tuple(qv)),)
 
 
 def atomic_observable(f, n_modes: int, name: str = "") -> Observable:

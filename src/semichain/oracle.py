@@ -49,29 +49,25 @@ class FockCompositeState:
         return self.amplitudes.ndim - 1
 
 
-def coherent_fock_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Fock amplitudes <n|alpha> = e^{-|a|^2/2} a^n / sqrt(n!) up to cutoff."""
-    v = np.empty(cutoff + 1, dtype=complex)
-    v[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(cutoff):
-        v[n + 1] = v[n] * alpha / np.sqrt(n + 1)
+def _fock_powers(first: complex, z: complex, n_levels: int) -> np.ndarray:
+    """first * z^n / sqrt(n!) for n = 0, ..., n_levels - 1."""
+    v = np.empty(n_levels, dtype=complex)
+    v[0] = first
+    for n in range(n_levels - 1):
+        v[n + 1] = v[n] * z / np.sqrt(n + 1)
     return v
 
 
-def mode_occupation_mass(state: FockCompositeState, mode: int) -> np.ndarray:
-    """Probability mass per Fock level of one mode."""
-    p = np.abs(state.amplitudes) ** 2
-    axes = tuple(ax for ax in range(p.ndim) if ax != mode + 1)
-    return p.sum(axis=axes)
+def coherent_fock_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Fock amplitudes <n|alpha> = e^{-|a|^2/2} a^n / sqrt(n!) up to cutoff."""
+    return _fock_powers(np.exp(-0.5 * abs(alpha) ** 2), alpha, cutoff + 1)
 
 
 def tail_mass(state: FockCompositeState) -> float:
     """Largest over modes of the mass in that mode's top two levels."""
-    worst = 0.0
-    for m in range(state.n_modes):
-        occ = mode_occupation_mass(state, m)
-        worst = max(worst, float(occ[-2:].sum()))
-    return worst
+    amps = state.amplitudes
+    return max(float(np.sum(np.abs(np.moveaxis(amps, m + 1, 0)[-2:]) ** 2))
+               for m in range(state.n_modes))
 
 
 def check_tail(state: FockCompositeState, threshold: float = DEFAULT_TAIL_THRESHOLD):
@@ -129,19 +125,24 @@ def _atomic_apply(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mat @ amps.reshape(amps.shape[0], -1)).reshape(amps.shape)
 
 
+def _add_coupling(out: np.ndarray, amps: np.ndarray, currents) -> np.ndarray:
+    """``out`` plus sum_n (J_n a_n^dag + J_n^dag a_n) amps, in place, for
+    the pairs (J_n, J_n^dag) of ``currents`` in mode order."""
+    for n, (j, j_dag) in enumerate(currents):
+        out += _atomic_apply(j, _ladder(amps, n, dagger=True))
+        out += _atomic_apply(j_dag, _ladder(amps, n, dagger=False))
+    return out
+
+
 def _rhs(spec: ModelSpec, t: float, amps: np.ndarray) -> np.ndarray:
-    """-i H(t) Psi in the interaction picture.
+    """-i H(t) Psi in the interaction picture: ``_add_coupling`` at j_n(t).
 
     This is the equation ``evolve`` solves; ``evolve`` never calls it.
     It stays as the independent reference that the propagator tests
     integrate, and as the name the benchmark tracer counts.
     """
-    js = rotated_currents(spec, t)
-    out = np.zeros_like(amps)
-    for n, j in enumerate(js):
-        out += _atomic_apply(j, _ladder(amps, n, dagger=True))
-        out += _atomic_apply(j.conj().T, _ladder(amps, n, dagger=False))
-    return -1j * out
+    currents = [(j, j.conj().T) for j in rotated_currents(spec, t)]
+    return -1j * _add_coupling(np.zeros_like(amps), amps, currents)
 
 
 def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
@@ -178,12 +179,8 @@ def _hamiltonian(spec: ModelSpec, levels: tuple):
     currents = [(mode.j, mode.j.conj().T) for mode in spec.modes]
 
     def apply(amps):
-        out = _atomic_apply(spec.h0, amps)
-        out += number * amps
-        for n, (j, j_dag) in enumerate(currents):
-            out += _atomic_apply(j, _ladder(amps, n, dagger=True))
-            out += _atomic_apply(j_dag, _ladder(amps, n, dagger=False))
-        return out
+        return _add_coupling(_atomic_apply(spec.h0, amps) + number * amps,
+                             amps, currents)
 
     return apply, lo, hi
 
@@ -282,12 +279,8 @@ def bargmann_projection(state: FockCompositeState, alpha_star) -> np.ndarray:
         raise DimensionMismatch("need one alpha* per mode")
     amps = state.amplitudes
     for a_st in alpha_star:
-        n_levels = amps.shape[1]
-        b = np.empty(n_levels, dtype=complex)
-        b[0] = 1.0
-        for n in range(n_levels - 1):
-            b[n + 1] = b[n] * a_st / np.sqrt(n + 1)
-        amps = np.tensordot(amps, b, axes=(1, 0))
+        amps = np.tensordot(amps, _fock_powers(1.0, a_st, amps.shape[1]),
+                            axes=(1, 0))
     return amps
 
 
@@ -296,11 +289,6 @@ def coherent_amplitude(state: FockCompositeState, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     gauss = np.exp(-0.5 * float(np.sum(np.abs(alpha) ** 2)))
     return gauss * bargmann_projection(state, alpha.conj())
-
-
-def _pad_modes(amps: np.ndarray, extra: tuple) -> np.ndarray:
-    pad = [(0, 0)] + [(0, e) for e in extra]
-    return np.pad(amps, pad)
 
 
 def antinormal_expectation(state: FockCompositeState, obs: Observable,
@@ -319,10 +307,8 @@ def antinormal_expectation(state: FockCompositeState, obs: Observable,
     f = obs.atomic_matrix(state.d)
     total = 0.0 + 0.0j
     for mono in obs.poly:
-        extra = tuple(max(pn, qn) for pn, qn in zip(mono.p, mono.q))
-        padded = _pad_modes(state.amplitudes, extra)
-        bra = padded
-        ket = padded
+        bra = ket = np.pad(state.amplitudes, [(0, 0)] + [
+            (0, max(pn, qn)) for pn, qn in zip(mono.p, mono.q)])
         for n, (pn, qn) in enumerate(zip(mono.p, mono.q)):
             for _ in range(pn):
                 bra = _ladder(bra, n, dagger=True)

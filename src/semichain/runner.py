@@ -1,8 +1,8 @@
 """Experiment orchestration: run a validated config end to end.
 
 Produces a CSV time series (one row per record time per observable), a
-JSON manifest echoing the fully resolved configuration and every
-applied default, and a checkpoint after each recorded block. Identical
+JSON manifest echoing the configuration as given plus every default
+it applied, and a checkpoint after each recorded block. Identical
 seed and config give byte-identical CSV output; a resumed run continues
 from the checkpoint and reproduces the uninterrupted file exactly
 (emitted rows are stored in the checkpoint verbatim).

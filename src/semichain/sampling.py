@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SamplerStuck
+from .errors import SamplerStuck
 
 _SIGMA_MIN = 1e-4
 _SIGMA_MAX = 20.0
@@ -176,31 +176,27 @@ def _segment_lengths(n_points, segment_len):
 
 
 def sample_positions(log_weights, n_modes, n_points, params: SamplerParams,
-                     rng, start=None):
+                     rng):
     """Draw chain positions from the batched weight ``log_weights``.
 
     Returns ``(alphas, segment_starts)`` where ``alphas`` has shape
     ``(n_points, n_modes)`` and ``segment_starts`` lists the first index
     of each small-increment segment.
 
-    Phase A walks one walker per segment from ``start`` (the origin if
-    None), each by ceil(max(burn_in, 500) / n_segments) uncapped
-    proposals, and at least ``_MIN_WALK_MOVES``; phase B walks every
-    segment from its walker's final position at once.
+    Phase A walks one walker per segment from the origin, each by
+    ceil(max(burn_in, 500) / n_segments) uncapped proposals, and at
+    least ``_MIN_WALK_MOVES``; phase B walks every segment from its
+    walker's final position at once.
 
-    Raises DimensionMismatch if ``start`` does not have ``n_modes``
-    entries, and SamplerStuck if the weight is zero at ``start``, the
-    phase-A acceptance rate cannot be pulled above the floor, or a
-    segment cannot acquire a usable increment.
+    Raises SamplerStuck if the weight is zero at the origin, the phase-A
+    acceptance rate cannot be pulled above the floor, or a segment
+    cannot acquire a usable increment.
     """
     if n_points < 2:
         raise ValueError("a chain needs at least 2 points")
     lengths = np.array(_segment_lengths(n_points, params.segment_len))
     n_walks = lengths.size
-    x0 = np.zeros(n_modes) if start is None else start
-    x = np.tile(np.asarray(x0, dtype=complex), (n_walks, 1))
-    if x.shape[1] != n_modes:
-        raise DimensionMismatch(f"start has {x.shape[1]} modes, n_modes is {n_modes}")
+    x = np.zeros((n_walks, n_modes), dtype=complex)
     logw = _start_log_weights(log_weights, x)
 
     burn_in = params.burn_in if params.burn_in is not None else 10 * n_points

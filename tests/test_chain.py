@@ -98,6 +98,14 @@ def test_chain_state_validation():
                    phis=np.array([[1.0], [0.0]], dtype=complex))
 
 
+@pytest.mark.parametrize("starts", [[], [[0]], [0.5]],
+                         ids=["empty", "two_dimensional", "fractional"])
+def test_chain_state_rejects_malformed_segment_starts(starts):
+    with pytest.raises(DimensionMismatch, match="segment starts"):
+        ChainState(time=0.0, alphas=np.zeros((4, 1), complex),
+                   phis=np.ones((4, 1), complex), segment_starts=starts)
+
+
 def test_chain_state_immutable():
     ch = _walk_chain(lambda a: np.array([1.0, 0.0]) * np.exp(a), n=10)
     with pytest.raises(ValueError):

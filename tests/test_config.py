@@ -1,7 +1,10 @@
+import copy
+import json
+
 import numpy as np
 import pytest
 
-from semichain.config import validate_config
+from semichain.config import parse_config_text, validate_config
 from semichain.errors import ConfigError
 
 
@@ -123,17 +126,114 @@ def test_engine_checked():
 
 
 def test_json_text_accepted():
-    import json
-    cfg = validate_config(json.dumps(minimal_config()))
+    cfg = validate_config(parse_config_text(json.dumps(minimal_config())))
     assert cfg.engine == "both"
 
 
+def _same_run(a, b):
+    """The two RunConfigs describe the same run."""
+    assert np.array_equal(a.spec.h0, b.spec.h0)
+    assert len(a.spec.modes) == len(b.spec.modes)
+    assert all(m.omega == n.omega and np.array_equal(m.j, n.j)
+               for m, n in zip(a.spec.modes, b.spec.modes))
+    assert np.array_equal(a.atomic, b.atomic)
+    assert np.array_equal(a.alpha0, b.alpha0)
+    assert len(a.observables) == len(b.observables)
+    for x, y in zip(a.observables, b.observables):
+        assert x.name == y.name and x.poly == y.poly
+        assert (x.f is None) == (y.f is None)
+        assert x.f is None or np.array_equal(x.f, y.f)
+    assert (a.engine, a.seed, a.t_final, a.record_every, a.chain, a.oracle) \
+        == (b.engine, b.seed, b.t_final, b.record_every, b.chain, b.oracle)
+
+
 def test_resolved_roundtrips():
-    cfg = validate_config(minimal_config())
-    again = validate_config(cfg.resolved)
-    assert np.allclose(again.spec.h0, cfg.spec.h0)
-    assert again.seed == cfg.seed
-    assert again.chain == cfg.chain
+    raw = minimal_config()
+    raw["observables"].append({"poly": [{"p": [1], "q": [1]}]})
+    given = copy.deepcopy(raw)
+    cfg = validate_config(raw)
+    assert raw == given  # the input is not changed
+    expected = copy.deepcopy(raw)
+    expected["schedule"]["record_every"] = 1.0
+    expected["chain"] = {"n_points": 20000, "eps": 0.125}
+    expected["oracle"] = {"cutoff": 16}
+    assert cfg.resolved == expected
+    # numbers are echoed as written, and read back to the same run
+    raw["initial"]["alpha0"] = [[1, 0]]
+    raw["model"]["modes"][0]["omega"] = 1
+    cfg = validate_config(raw)
+    assert json.dumps(cfg.resolved["initial"]["alpha0"]) == "[[1, 0]]"
+    assert cfg.resolved["model"]["modes"][0]["omega"] == 1
+    _same_run(validate_config(cfg.resolved), cfg)
+    _same_run(validate_config(json.loads(json.dumps(cfg.resolved))), cfg)
+
+
+def _observable(raw, **entry):
+    raw["observables"].append(dict({"name": "extra"}, **entry))
+
+
+@pytest.mark.parametrize("change, problem", [
+    (lambda raw: raw.update(chian={"n_points": 100}), "chian: unknown option"),
+    (lambda raw: raw["model"].update(H0=[]), "model.H0: unknown option"),
+    (lambda raw: raw["model"]["modes"][0].update(freq=1.0),
+     "model.modes[0].freq: unknown option"),
+    (lambda raw: raw["initial"].update(alpha=[[1, 0]]),
+     "initial.alpha: unknown option"),
+    (lambda raw: raw["schedule"].update(record_evry=0.5),
+     "schedule.record_evry: unknown option"),
+    (lambda raw: _observable(raw, pol=[{"p": [1], "q": [1]}]),
+     "observables[1].pol: unknown option"),
+    (lambda raw: _observable(raw, poly=[{"p": [1], "q": [1], "coeff": 2}]),
+     "observables[1].poly[0].coeff: unknown option"),
+    (lambda raw: _observable(raw, poly=[{"p": [1.5], "q": [0]}]),
+     "observables[1].poly[0].p: expected an array of 1 non-negative "
+     "integers, got [1.5]"),
+    (lambda raw: _observable(raw, poly=[{"p": [True], "q": [0]}]),
+     "observables[1].poly[0].p: expected an array of 1 non-negative "
+     "integers, got [True]"),
+    (lambda raw: _observable(raw, poly=[{"p": [0], "q": [-1]}]),
+     "observables[1].poly[0].q: expected an array of 1 non-negative "
+     "integers, got [-1]"),
+    (lambda raw: _observable(raw, poly=[{"p": 1, "q": [1]}]),
+     "observables[1].poly[0].p: expected an array of 1 non-negative "
+     "integers, got 1"),
+    (lambda raw: _observable(raw, poly=[{"p": [1, 0], "q": [1]}]),
+     "observables[1].poly[0].p: expected an array of 1 non-negative "
+     "integers, got [1, 0]"),
+    (lambda raw: _observable(raw, poly=5),
+     "observables[1].poly: expected an array, got 5"),
+    (lambda raw: raw["model"]["modes"][0].update(omega="1.0"),
+     "model.modes[0].omega: expected a finite number, got '1.0'"),
+    (lambda raw: raw["model"]["modes"][0].update(omega=True),
+     "model.modes[0].omega: expected a finite number, got True"),
+], ids=["top_level", "model", "mode", "initial", "schedule", "observable",
+        "monomial", "float_power", "bool_power", "negative_power",
+        "power_not_an_array", "power_per_mode", "poly_not_an_array",
+        "omega_text", "omega_bool"])
+def test_malformed_entries_listed_with_other_errors(change, problem):
+    # every object rejects a key it does not know, and every entry is
+    # checked for its type: none is ignored, cut or read as another type
+    raw = minimal_config()
+    change(raw)
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert problem in probs
+    assert any(p.startswith("seed") for p in probs)
+
+
+@pytest.mark.parametrize("name", ["s,z", 's"z', "s\nz", "s\rz", "", ["x"], 3])
+def test_observable_name_must_be_one_csv_field(name):
+    raw = minimal_config()
+    raw["observables"][0]["name"] = name
+    del raw["seed"]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    probs = exc.value.problems
+    assert any(p.startswith("observables[0].name: expected a non-empty "
+                            "string") for p in probs)
+    assert any(p.startswith("seed") for p in probs)
 
 
 def test_observable_poly_from_config():
@@ -238,12 +338,11 @@ def test_retired_chain_keys_are_unknown_options(key, value):
 
 
 def test_non_finite_numbers_rejected():
-    import json
     text = json.dumps(minimal_config(chain={"eps": float("nan"),
                                             "n_points": float("inf")}))
     text = text.replace('"t_final": 1.0', '"t_final": Infinity')
     with pytest.raises(ConfigError) as exc:
-        validate_config(text)
+        validate_config(parse_config_text(text))
     probs = exc.value.problems
     for key in ("chain.eps", "chain.n_points", "schedule.t_final"):
         assert any(p.startswith(key) for p in probs), key

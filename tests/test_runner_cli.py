@@ -145,6 +145,41 @@ def test_resume_from_a_checkpoint_with_a_generator_state(tmp_path, monkeypatch):
     assert read(resumed["timeseries"]) == read(full["timeseries"])
 
 
+def _normalized(config):
+    """The config echo that older versions stored: every complex entry
+    a float [re, im] pair, every number of the schedule and of each mode
+    a float, and every default written in."""
+    def pairs(a):
+        return np.stack([a.real, a.imag], axis=-1).tolist()
+
+    return {"model": {"h0": pairs(config.spec.h0),
+                      "modes": [{"omega": float(m.omega), "j": pairs(m.j)}
+                                for m in config.spec.modes]},
+            "initial": {"atomic": pairs(config.atomic),
+                        "alpha0": pairs(config.alpha0)},
+            "engine": config.engine,
+            "schedule": {"t_final": config.t_final,
+                         "record_every": config.record_every},
+            "chain": dict(config.chain), "oracle": dict(config.oracle),
+            "observables": config.resolved["observables"],
+            "seed": config.seed}
+
+
+def test_resume_from_a_checkpoint_with_a_normalized_config(tmp_path,
+                                                          monkeypatch):
+    raw = small_config()
+    raw["model"]["modes"][0]["omega"] = 1
+    raw["initial"]["alpha0"] = [1]
+    cfg = validate_config(raw)
+    assert _normalized(cfg) != cfg.resolved
+    full = run(cfg, tmp_path / "full")
+    partial = _interrupted_run(cfg, tmp_path / "part", monkeypatch)
+    partial.write_bytes(_with_header(
+        read(partial), lambda h: h.update(config=_normalized(cfg))))
+    resumed = resume(partial, tmp_path / "part")
+    assert read(resumed["timeseries"]) == read(full["timeseries"])
+
+
 def test_manifest_lists_applied_defaults(tmp_path):
     cfg = validate_config(small_config())
     paths = run(cfg, tmp_path / "out")
@@ -219,6 +254,10 @@ MALFORMED = {
         raw, lambda h: h.update(rows=[1.0, 2.0])),
     "wrong_type_time": lambda raw: _with_header(
         raw, lambda h: h["chain"].update(time="0.25")),
+    "null_segment_starts": lambda raw: _with_header(
+        raw, lambda h: h["chain"].update(segment_starts=None)),
+    "fractional_segment_starts": lambda raw: _with_header(
+        raw, lambda h: h["chain"].update(segment_starts=[0.5])),
     "json_cut_short": lambda raw: _with_blob(raw, lambda b: b[:len(b) // 2]),
     "not_utf8": lambda raw: _with_blob(raw, lambda b: b"\xff" + b[1:]),
     "short_prelude": lambda raw: raw[:12],
@@ -259,6 +298,38 @@ def test_cli_reports_an_unusable_config(content, command, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config errors:\n  - config ")
     assert len(err.strip().split("\n")) == 2
+
+
+def test_cli_lists_every_malformed_entry(tmp_path, capsys):
+    raw = small_config()
+    raw["chian"] = {"n_points": 100}
+    raw["schedule"]["record_evry"] = 0.125
+    raw["initial"]["alpha0"] = [[1.0, 0.0], True]
+    raw["observables"] += [
+        {"name": "s,z", "pol": [{"p": [1], "q": [1]}]},
+        {"name": ["x"], "poly": 5},
+        {"poly": [{"p": 1, "q": [1]}, {"p": [1.5], "q": [0]}]},
+    ]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    problems = [
+        "chian: unknown option",
+        "schedule.record_evry: unknown option",
+        "initial.alpha0[1]: expected a finite number or [re, im] pair",
+        "observables[2].pol: unknown option",
+        "observables[2].name: expected a non-empty string",
+        "observables[3].name: expected a non-empty string",
+        "observables[3].poly: expected an array, got 5",
+        "observables[4].poly[0].p: expected an array of 1 non-negative",
+        "observables[4].poly[1].p: expected an array of 1 non-negative",
+    ]
+    for command in (["validate"], ["run", "--output-dir", str(tmp_path)]):
+        assert cli_main([command[0], str(path)] + command[1:]) == 2
+        err = capsys.readouterr().err.split("\n")
+        assert err[0] == "config errors:"
+        for problem in problems:
+            assert any(line.startswith(f"  - {problem}") for line in err), problem
+    assert not (tmp_path / "timeseries.csv").exists()
 
 
 def test_cli_config_path_is_a_directory(tmp_path, capsys):

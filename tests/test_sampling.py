@@ -103,20 +103,15 @@ def test_capped_proposal_draw_limit_raises(monkeypatch):
 
 
 def test_zero_weight_start_raises():
-    # a Gaussian around 0.5, cut to zero left of Re(alpha) = 0
+    # a Gaussian around 0.5, zero where Re(alpha) <= 0: the walk's start,
+    # the origin, has zero weight
     def half_plane(alphas):
         a = alphas[..., 0]
         return np.where(a.real > 0.0, -np.abs(a - 0.5) ** 2, -np.inf)
 
     with pytest.raises(SamplerStuck, match="zero-weight"):
         sample_positions(half_plane, 1, 100, SamplerParams(step_cap=0.3),
-                         np.random.default_rng(3), start=[-1.0])
-
-
-def test_start_needs_one_entry_per_mode():
-    with pytest.raises(DimensionMismatch, match="start has 2 modes"):
-        sample_positions(_gaussian_weight(0.0), 1, 100, SamplerParams(),
-                         np.random.default_rng(3), start=[0.0, 0.0])
+                         np.random.default_rng(3))
 
 
 def test_zero_atomic_state_is_a_zero_weight_start():
@@ -247,11 +242,9 @@ def test_generic_callable_keeps_the_metropolis_chain(seed):
     generic = lambda a: phi0(a)  # noqa: E731
     params = SamplerParams(step_cap=0.45, segment_len=6, burn_in=3000)
     chain = sc.initial_chain(generic, 1, 1500, 0.45,
-                             np.random.default_rng(seed), params=params,
-                             start=[0.5 - 1.2j])
+                             np.random.default_rng(seed), params=params)
     alphas, starts = sample_positions(log_weight_from_phi(generic, 1), 1, 1500,
-                                      params, np.random.default_rng(seed),
-                                      start=[0.5 - 1.2j])
+                                      params, np.random.default_rng(seed))
     assert chain.alphas.tobytes() == alphas.tobytes()
     assert np.array_equal(chain.segment_starts, starts)
     assert np.array_equal(chain.phis, [phi0(np.conj(a)) for a in alphas])
