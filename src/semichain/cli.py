@@ -9,6 +9,7 @@ to the output directory.
 """
 
 import argparse
+import gc
 import sys
 
 from .config import parse_config_text, validate_config
@@ -18,6 +19,20 @@ from .runner import run as _run
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the process exit code.
+
+    The CLI owns its process, so it first freezes the import graph:
+    ``gc.freeze`` moves every object the imports of numpy and the
+    package made into the collector's permanent generation. Collections
+    still run and still free cycles made after that, but the ones at
+    interpreter exit no longer walk the import graph to tear it down.
+    Only a process's first freeze is needed; a later call that froze
+    again would pin the cycles earlier calls left for the collector.
+    ``main`` itself returns normally, so callers in the same process
+    keep their atexit handlers, stream flushes and exit code.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = argparse.ArgumentParser(
         prog="semichain",
         description="Semiclassical chain Monte Carlo and its fully "

@@ -116,11 +116,13 @@ def _check_keys(obj, kind, prefix, errors):
 
 
 def _powers(v, n_modes, path, errors):
-    """``v`` as a tuple if it holds n_modes non-negative ints, else None."""
-    if (isinstance(v, list) and len(v) == n_modes
+    """``v`` as a tuple if it holds non-negative ints, n_modes of them
+    unless n_modes is None (no model to size it), else None."""
+    if (isinstance(v, list) and (n_modes is None or len(v) == n_modes)
             and all(type(x) is int and x >= 0 for x in v)):
         return tuple(v)
-    errors.append(f"{path}: expected an array of {n_modes} non-negative "
+    count = "" if n_modes is None else f"{n_modes} "
+    errors.append(f"{path}: expected an array of {count}non-negative "
                   f"integers, got {v!r}")
     return None
 
@@ -161,13 +163,19 @@ def _model_from(raw, errors):
         return None
 
 
-def _observables_from(raw, n_modes, d, errors):
+def _observables_from(raw, spec, errors):
+    """The config's observables. Each entry's keys, name, poly and
+    monomials are checked even when there is no model (``spec`` None);
+    only the sizes of f, p and q need one. Observables are built only
+    while the config has no problem, since any problem rejects it."""
     entries = raw.get("observables")
-    if entries is None:
+    if entries is None or entries == []:
+        errors.append("observables: at least one observable is required")
         return ()
     if not isinstance(entries, list):
         errors.append("observables: expected an array")
         return ()
+    n_modes = None if spec is None else spec.n_modes
     out = []
     for i, ob in enumerate(entries):
         path = f"observables[{i}]"
@@ -181,17 +189,15 @@ def _observables_from(raw, n_modes, d, errors):
                           f"commas, double quotes or line breaks, got {name!r}")
         f = ob.get("f")
         fmat = None if f is None else _complex_matrix(f, f"{path}.f", errors)
-        if fmat is not None and fmat.shape != (d, d):
-            errors.append(f"{path}.f: expected {d}x{d}, got {fmat.shape}")
-            continue
+        if fmat is not None and spec is not None and fmat.shape != (spec.d, spec.d):
+            errors.append(f"{path}.f: expected {spec.d}x{spec.d}, got {fmat.shape}")
         poly_raw = ob.get("poly")
-        if poly_raw is None:
-            poly = unit_poly(n_modes)
-        elif not isinstance(poly_raw, list):
+        poly = []
+        if poly_raw == []:
+            errors.append(f"{path}: empty polynomial")
+        elif poly_raw is not None and not isinstance(poly_raw, list):
             errors.append(f"{path}.poly: expected an array, got {poly_raw!r}")
-            continue
-        else:
-            poly = []
+        elif poly_raw is not None:
             for jm, mono in enumerate(poly_raw):
                 mpath = f"{path}.poly[{jm}]"
                 if not isinstance(mono, dict):
@@ -199,14 +205,13 @@ def _observables_from(raw, n_modes, d, errors):
                     continue
                 _check_keys(mono, "monomial", mpath + ".", errors)
                 c = _complex_scalar(mono.get("c", 1.0), f"{mpath}.c", errors)
-                p, q = (_powers(mono.get(key, [0] * n_modes), n_modes,
+                p, q = (_powers(mono.get(key, [0] * (n_modes or 0)), n_modes,
                                 f"{mpath}.{key}", errors) for key in "pq")
                 if p is not None and q is not None:
                     poly.append(Monomial(c, p, q))
-        if not poly:
-            errors.append(f"{path}: empty polynomial")
-            continue
-        out.append(Observable(f=fmat, poly=poly, name=name))
+        if not errors:
+            out.append(Observable(f=fmat, poly=poly or unit_poly(n_modes),
+                                  name=name))
     return tuple(out)
 
 
@@ -320,11 +325,7 @@ def validate_config(raw) -> RunConfig:
         errors.append(f"engine: {engine} needs a single-mode model, this one "
                       f"has {spec.n_modes} modes; use engine oracle")
 
-    observables = ()
-    if spec is not None:
-        observables = _observables_from(raw, spec.n_modes, spec.d, errors)
-        if not observables:
-            errors.append("observables: at least one observable is required")
+    observables = _observables_from(raw, spec, errors)
 
     if t_final is not None and record_every is not None:
         if not _whole_multiple(t_final, record_every):

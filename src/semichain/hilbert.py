@@ -21,7 +21,7 @@ def as_operator(a, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionMismatch(f"expected a {dim}x{dim} matrix, got {a.shape[0]}x{a.shape[0]}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise NonFiniteInput("matrix entries must be finite")
     return a
 
@@ -33,6 +33,6 @@ def as_state(v, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"expected a vector of dim {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v.view(float))):
+    if not np.isfinite(v).all():
         raise NonFiniteInput("vector entries must be finite")
     return v

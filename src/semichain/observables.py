@@ -22,8 +22,11 @@ class Monomial:
     q: tuple  # per-mode powers of conj(alpha)
 
     def __post_init__(self):
-        p = tuple(int(x) for x in self.p)
-        q = tuple(int(x) for x in self.q)
+        p, q = tuple(self.p), tuple(self.q)
+        for x in p + q:  # bool is an int, numpy's bool_ is not
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"monomial powers must be integers, got {x!r}")
+        p, q = tuple(map(int, p)), tuple(map(int, q))
         if len(p) != len(q):
             raise ValueError("p and q need one entry per mode")
         if any(x < 0 for x in p + q):

@@ -223,6 +223,60 @@ def test_malformed_entries_listed_with_other_errors(change, problem):
     assert any(p.startswith("seed") for p in probs)
 
 
+def test_broken_model_still_lists_observable_problems():
+    # only the sizes of f, p and q need the model; every other problem
+    # of an observable is reported with the model's own
+    raw = minimal_config()
+    raw["observables"] += [
+        {"name": "a", "pol": [{"p": [1], "q": [1]}]},
+        {"name": "b", "poly": 5},
+        {"name": "c", "poly": [{"p": 1, "q": [1]}]},
+    ]
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.problems == [
+        "observables[1].pol: unknown option",
+        "observables[2].poly: expected an array, got 5",
+        "observables[3].poly[0].p: expected an array of 1 non-negative "
+        "integers, got 1",
+    ]
+    raw["model"]["modes"][0]["omega"] = True
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.problems == [
+        "model.modes[0].omega: expected a finite number, got True",
+        "observables[1].pol: unknown option",
+        "observables[2].poly: expected an array, got 5",
+        "observables[3].poly[0].p: expected an array of non-negative "
+        "integers, got 1",
+    ]
+
+
+@pytest.mark.parametrize("observables, problems", [
+    ([{"poly": [{"p": 1, "q": [1]}, {"p": [1.5], "q": [0]}]}],
+     ["observables[0].poly[0].p: expected an array of 1 non-negative "
+      "integers, got 1",
+      "observables[0].poly[1].p: expected an array of 1 non-negative "
+      "integers, got [1.5]"]),
+    ([{"poly": []}], ["observables[0]: empty polynomial"]),
+    ([], ["observables: at least one observable is required"]),
+    (None, ["observables: at least one observable is required"]),
+    (5, ["observables: expected an array"]),
+], ids=["malformed_monomials", "empty_poly", "empty_list", "missing",
+        "not_an_array"])
+def test_observable_problems_are_reported_once(observables, problems):
+    # a poly whose every monomial is malformed is not empty, and a list
+    # of malformed observables is not missing: no line restates them
+    raw = minimal_config()
+    if observables is None:
+        del raw["observables"]
+    else:
+        raw["observables"] = observables
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.problems == problems
+
+
 @pytest.mark.parametrize("name", ["s,z", 's"z', "s\nz", "s\rz", "", ["x"], 3])
 def test_observable_name_must_be_one_csv_field(name):
     raw = minimal_config()

@@ -70,3 +70,26 @@ def test_exp_rejects_non_finite():
         as_operator(np.array([[0, 1j * np.inf], [0, 0]]))
     with pytest.raises(NonFiniteInput):
         as_state([1.0, np.inf])
+
+
+def test_strided_inputs_are_accepted():
+    # a transposed complex matrix and a strided vector have no
+    # contiguous last axis; validation reads them as they are
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    assert np.array_equal(as_operator(m.T), m.T)
+    v = (rng.standard_normal(6) + 1j * rng.standard_normal(6))[::2]
+    assert np.array_equal(as_state(v, dim=3), v)
+    bad = m.copy()
+    bad[0, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        as_operator(bad.T)
+
+    h0 = _random_hermitian(rng, 3)
+    spec = sc.ModelSpec(h0=h0.T, modes=[sc.FieldMode(1.0, m.conj().T)])
+    ref = sc.ModelSpec(h0=h0.T.copy(), modes=[sc.FieldMode(1.0, m.conj().T.copy())])
+    assert np.array_equal(spec.h0, ref.h0)
+    assert np.array_equal(spec.modes[0].j, ref.modes[0].j)
+    assert np.array_equal(atomic_rotation(spec, 0.7), atomic_rotation(ref, 0.7))
+    ob = sc.Observable(f=m.T, poly=sc.unit_poly(1))
+    assert np.array_equal(ob.f, m.T)

@@ -47,3 +47,20 @@ def test_atomic_observable_matrix():
     assert np.allclose(obs.atomic_matrix(2), f)
     assert np.allclose(Observable(f=None, poly=unit_poly(1)).atomic_matrix(3),
                        np.eye(3))
+
+
+@pytest.mark.parametrize("power", [1.0, 1.5, True, np.bool_(True), "1", None],
+                         ids=["float", "fraction", "bool", "numpy_bool", "str",
+                              "none"])
+def test_monomial_rejects_non_integer_powers(power):
+    # int() would read 1.5 as 1 and True as 1
+    with pytest.raises(ValueError, match="must be integers"):
+        Monomial(1.0, (power,), (0,))
+    with pytest.raises(ValueError, match="must be integers"):
+        Monomial(1.0, (0,), (power,))
+
+
+def test_monomial_accepts_numpy_integers():
+    m = Monomial(1.0, (np.int64(2),), (np.uint8(1),))
+    assert m.p == (2,) and m.q == (1,)
+    assert all(type(x) is int for x in m.p + m.q)

@@ -1,5 +1,7 @@
+import gc
 import json
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -210,6 +212,33 @@ def test_cli_validate_ok(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(small_config()))
     assert cli_main(["validate", str(cfg_path)]) == 0
+
+
+def test_cli_freezes_the_import_graph_and_still_collects(tmp_path):
+    # main freezes what the imports made, so the collections at exit
+    # skip it; the collector stays on and frees cycles made afterwards.
+    # A second call freezes nothing, so it pins no garbage the first
+    # call left for the collector.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config()))
+    gc.unfreeze()
+    assert gc.get_freeze_count() == 0
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    assert gc.isenabled()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert cli_main(["validate", str(cfg_path)]) == 0
+    assert gc.get_freeze_count() == frozen
+
+    class Node:
+        pass
+
+    a, b = Node(), Node()
+    a.other, b.other = b, a
+    ref = weakref.ref(a)
+    del a, b
+    gc.collect()
+    assert ref() is None
 
 
 def test_cli_validate_reports_all_errors(tmp_path, capsys):

@@ -17,6 +17,8 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     ["time_sample.py", "--n", "600", "--generic"],
     ["reformat_shift.py", "--runs", "1"],
     ["pointwise_error.py", "--n", "300", "--t", "1", "--derivative", "exact"],
+    ["time_run.py", os.path.join(ROOT, "configs", "jc_small.json"),
+     "--runs", "1"],
 ], ids=lambda args: args[0])
 def test_script_runs(args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
