@@ -99,13 +99,17 @@ def _complex_vector(v, path, errors):
 
 
 def _complex_matrix(v, path, errors):
+    """``v`` as a complex matrix, or None once ``errors`` has its problem."""
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         errors.append(f"{path}: expected a 2-D array")
-        return np.zeros((1, 1), dtype=complex)
+        return None
+    known = len(errors)
     rows = [_complex_vector(r, f"{path}[{i}]", errors) for i, r in enumerate(v)]
+    if len(errors) > known:
+        return None
     if len({r.shape[0] for r in rows}) != 1:
         errors.append(f"{path}: rows have unequal lengths")
-        return np.zeros((1, 1), dtype=complex)
+        return None
     return np.array(rows)
 
 
@@ -149,11 +153,11 @@ def _model_from(raw, errors):
         if not _finite_number(m["omega"]):
             errors.append(f"{path}.omega: expected a finite number, "
                           f"got {m['omega']!r}")
-            continue
-        try:
-            modes.append(FieldMode(float(m["omega"]), j))
-        except SemichainError as e:
-            errors.append(f"{path}: {e}")
+        elif j is not None:
+            try:
+                modes.append(FieldMode(float(m["omega"]), j))
+            except SemichainError as e:
+                errors.append(f"{path}: {e}")
     if errors:
         return None
     try:

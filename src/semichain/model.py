@@ -23,6 +23,13 @@ from .hilbert import as_operator
 _HERMITICITY_TOL = 1e-12
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``a``, which the caller keeps writable."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class FieldMode:
     """One harmonic mode: angular frequency and its coupling operator."""
@@ -31,7 +38,7 @@ class FieldMode:
     j: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "j", as_operator(self.j))
+        object.__setattr__(self, "j", _read_only(as_operator(self.j)))
         if not np.isfinite(self.omega):
             raise DimensionMismatch("mode frequency must be finite")
 
@@ -41,7 +48,8 @@ class ModelSpec:
     """Validated composite model: atomic Hamiltonian plus field modes.
 
     Construction validates Hermiticity of ``h0`` and the shape of every
-    mode current; instances are immutable afterwards. The eigenbasis of
+    mode current; instances are immutable afterwards: ``h0`` and every
+    current are read-only copies of the caller's arrays. The eigenbasis of
     ``h0``, and every current in it, is precomputed once so that rotated
     currents are cheap in the per-step hot path.
     """
@@ -53,7 +61,7 @@ class ModelSpec:
     _eig_currents: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h0 = as_operator(self.h0)
+        h0 = _read_only(as_operator(self.h0))
         if np.max(np.abs(h0 - h0.conj().T)) > _HERMITICITY_TOL:
             raise NonHermitianH0("h0 must be Hermitian within 1e-12")
         modes = tuple(m if isinstance(m, FieldMode) else FieldMode(*m) for m in self.modes)

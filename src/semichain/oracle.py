@@ -9,11 +9,14 @@ solves the interaction-picture equation
 exactly on the truncated space: the time dependence is the free
 rotation exp(i (H0 + sum_n omega_n N_n) t) of one fixed Schrodinger-frame
 Hamiltonian H_S, whose exponential action is a Chebyshev expansion
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984) with H_S applied
-matrix-free to the amplitude array. Everything the
-semiclassical chain claims to reproduce is computed here exactly
-(within truncation): coherent-state amplitudes, Bargmann projections,
-and antinormally ordered expectations. The module needs numpy alone.
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984). H_S acts on the
+flattened amplitudes as sparse bands, its diagonal and one gathered
+band per nonzero of an atomic row, built once per model and mode sizes;
+the expansion's Bessel coefficients come from Miller's backward
+recurrence. Everything the semiclassical chain claims to reproduce is
+computed here exactly (within truncation): coherent-state amplitudes,
+Bargmann projections, and antinormally ordered expectations. The module
+needs numpy alone, and not its fft or random packages.
 """
 
 from dataclasses import dataclass
@@ -125,24 +128,69 @@ def _atomic_apply(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mat @ amps.reshape(amps.shape[0], -1)).reshape(amps.shape)
 
 
-def _add_coupling(out: np.ndarray, amps: np.ndarray, currents) -> np.ndarray:
-    """``out`` plus sum_n (J_n a_n^dag + J_n^dag a_n) amps, in place, for
-    the pairs (J_n, J_n^dag) of ``currents`` in mode order."""
-    for n, (j, j_dag) in enumerate(currents):
-        out += _atomic_apply(j, _ladder(amps, n, dagger=True))
-        out += _atomic_apply(j_dag, _ladder(amps, n, dagger=False))
-    return out
+def _bands(levels: tuple, terms) -> tuple:
+    """sum over ``terms`` of A (x) op as sparse bands on the flattened
+    composite amplitudes of mode sizes ``levels``.
+
+    Each term is (A, n, dagger): the atomic matrix A times a_n^dag (with
+    ``dagger``) or a_n on mode n, or times the identity if n is None.
+    The k-th nonzero of every row of A shares one band, so a term adds
+    as many bands as A's fullest row has nonzeros. Returns ``cols`` and
+    ``vals`` of shape (B, D), with D the flattened size: the operator
+    maps v to (vals * v[cols]).sum(0). A padded entry has value 0 and
+    points at its own row.
+    """
+    d = terms[0][0].shape[0]
+    shape = (d,) + tuple(levels)
+    own = np.arange(int(np.prod(shape))).reshape(shape)
+    atom = (d,) + (1,) * len(levels)
+    cols, vals = [], []
+    for a, mode, dagger in terms:
+        source, factor = own, np.ones(1)
+        if mode is not None:
+            # a^dag takes level n - 1 to n, times sqrt(n); a takes level
+            # n + 1 to n, times sqrt(n + 1); the wrapped edge gets 0
+            axis = mode + 1
+            source = np.roll(own, 1 if dagger else -1, axis=axis)
+            root = np.sqrt(np.arange(levels[mode], dtype=float))
+            factor = (root if dagger else np.append(root[1:], 0.0)).reshape(
+                [-1 if ax == axis else 1 for ax in range(own.ndim)])
+        nonzero = [np.flatnonzero(row) for row in a]
+        for k in range(max(map(len, nonzero))):
+            has = np.array([k < len(nz) for nz in nonzero])
+            src = np.array([nz[k] if k < len(nz) else i
+                            for i, nz in enumerate(nonzero)])
+            band = np.broadcast_to(
+                (has * a[np.arange(d), src]).reshape(atom) * factor, shape)
+            vals.append(band.ravel())
+            cols.append(np.where(band == 0, own, source[src]).ravel())
+    return (np.array(cols, dtype=int).reshape(-1, own.size),
+            np.array(vals, dtype=complex).reshape(-1, own.size))
+
+
+def _coupling_terms(currents) -> list:
+    """The terms J_n a_n^dag and J_n^dag a_n of ``_bands`` for the
+    currents J_n in mode order."""
+    return [term for n, j in enumerate(currents)
+            for term in ((j, n, True), (j.conj().T, n, False))]
+
+
+def _apply_bands(diag, cols, vals, v: np.ndarray) -> np.ndarray:
+    """diag * v plus the bands of ``_bands`` applied to the flat v."""
+    return diag * v + (vals * v[cols]).sum(0)
 
 
 def _rhs(spec: ModelSpec, t: float, amps: np.ndarray) -> np.ndarray:
-    """-i H(t) Psi in the interaction picture: ``_add_coupling`` at j_n(t).
+    """-i H(t) Psi in the interaction picture, with
+    H(t) = sum_n (j_n(t) a_n^dag + j_n(t)^dag a_n).
 
     This is the equation ``evolve`` solves; ``evolve`` never calls it.
     It stays as the independent reference that the propagator tests
     integrate, and as the name the benchmark tracer counts.
     """
-    currents = [(j, j.conj().T) for j in rotated_currents(spec, t)]
-    return -1j * _add_coupling(np.zeros_like(amps), amps, currents)
+    cols, vals = _bands(amps.shape[1:],
+                        _coupling_terms(rotated_currents(spec, t)))
+    return -1j * _apply_bands(0.0, cols, vals, amps.ravel()).reshape(amps.shape)
 
 
 def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
@@ -156,55 +204,88 @@ def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def _hamiltonian(spec: ModelSpec, levels: tuple):
-    """H_S = H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n) as a
-    matrix-free map on composite amplitudes of mode sizes ``levels``,
-    together with an interval that holds its whole spectrum.
+_last_hamiltonian = None  # (spec, levels, result) of the last build
+
+
+def _hamiltonian(spec: ModelSpec, levels: tuple) -> tuple:
+    """H_S = H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n) on the
+    flattened composite amplitudes of mode sizes ``levels``, as its
+    diagonal ``diag`` (D,) and the bands ``cols``, ``vals`` (B, D) of
+    the rest (``_bands``), together with an interval [lo, hi] that holds
+    its whole spectrum: H_S v = ``_apply_bands(diag, cols, vals, v)``.
 
     The interval adds, by Weyl's inequality, the extreme eigenvalues of
     h0 and of each mode's own term omega_n N_n + J_n a_n^dag + J_n^dag a_n,
     which acts on the atom and that one mode alone: an ``eigvalsh`` of
     size d (cutoff_n + 1) each.
+
+    The last result is kept, keyed on the spec's identity and
+    ``levels``, so the blocks of one run build it once; a spec never
+    changes (its h0 and currents are read-only).
     """
+    global _last_hamiltonian
+    last = _last_hamiltonian
+    if last is not None and last[0] is spec and last[1] == levels:
+        return last[2]
+    h0_diag = np.diag(spec.h0)
+    diag = h0_diag.reshape((spec.d,) + (1,) * len(levels))
     lo, hi = float(spec._evals[0]), float(spec._evals[-1])
-    number = np.zeros((1,) + tuple(levels))
     for n, (mode, size) in enumerate(zip(spec.modes, levels)):
-        shape = [1] * number.ndim
+        shape = [1] * (len(levels) + 1)
         shape[n + 1] = size
-        number = number + mode.omega * np.arange(size).reshape(shape)
+        diag = diag + mode.omega * np.arange(size).reshape(shape)
         coupling = np.kron(mode.j, np.diag(np.sqrt(np.arange(1.0, size)), -1))
         term = np.kron(np.eye(spec.d), np.diag(mode.omega * np.arange(size)))
         evals = np.linalg.eigvalsh(term + coupling + coupling.conj().T)
         lo, hi = lo + evals[0], hi + evals[-1]
-    currents = [(mode.j, mode.j.conj().T) for mode in spec.modes]
-
-    def apply(amps):
-        return _add_coupling(_atomic_apply(spec.h0, amps) + number * amps,
-                             amps, currents)
-
-    return apply, lo, hi
+    terms = [(spec.h0 - np.diag(h0_diag), None, False)]
+    cols, vals = _bands(levels, terms + _coupling_terms(
+        [mode.j for mode in spec.modes]))
+    arrays = (diag.ravel(), cols, vals)
+    for a in arrays:
+        a.setflags(write=False)  # shared by every later block
+    result = arrays + (lo, hi)
+    _last_hamiltonian = (spec, levels, result)
+    return result
 
 
 # Chebyshev terms whose coefficient is below this are dropped; the
 # expansion is cut at the first such term past the order |z| where the
 # Bessel coefficients start to decay monotonically.
 _CHEB_TOL = 1e-16
+# (-i)^k for k mod 4, exactly
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
     """(-i)^k J_k(z) for k = 0, 1, ... until they fall below
-    ``_CHEB_TOL``: by the Jacobi-Anger expansion
-    e^{-i z cos t} = sum_k (2 - delta_k0) (-i)^k J_k(z) cos(k t), they
-    are the discrete Fourier coefficients of e^{-i z cos t}, sampled
-    finely enough that aliasing stays below rounding."""
-    size = 64
-    while size < 2 * (abs(z) + 16 * abs(z) ** (1 / 3) + 32):
-        size *= 2
-    theta = 2 * np.pi * np.arange(size) / size
-    coef = np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:size // 2] / size
-    tiny = np.abs(coef) < _CHEB_TOL
-    tiny[:int(abs(z)) + 2] = False  # every term up to order |z|, and two
-    return coef[:int(np.argmax(tiny))] if tiny.any() else coef
+    ``_CHEB_TOL``.
+
+    Miller's backward recurrence J_{k-1}(x) = (2k / x) J_k(x) - J_{k+1}(x)
+    at x = |z| (NIST DLMF 10.74(iv)), started from J_{top+1} = 0 and
+    J_top = 1 well past the order where J_k falls below rounding, is
+    stable downwards and gives the J_k up to one common factor; the
+    identity J_0 + 2 sum_k J_2k = 1 fixes it. J_k(-x) = (-1)^k J_k(x).
+    """
+    x = abs(z)
+    if x == 0.0:
+        return np.array([1.0, 0.0], dtype=complex)
+    cur, nxt = 1.0, 0.0  # J_k and J_{k+1}, up to one common factor
+    down = [cur]
+    for k in range(int(x + 16 * x ** (1 / 3) + 32), 0, -1):
+        cur, nxt = 2 * k / x * cur - nxt, cur
+        if abs(cur) > 1e200:  # a tiny x would overflow: rescale
+            cur, nxt = cur * 1e-200, nxt * 1e-200
+            down = [v * 1e-200 for v in down]
+        down.append(cur)
+    bessel = np.array(down[::-1])
+    bessel /= bessel[0] + 2.0 * bessel[2::2].sum()
+    tiny = np.abs(bessel) < _CHEB_TOL
+    tiny[:int(x) + 2] = False  # every term up to order |z|, and two
+    if tiny.any():
+        bessel = bessel[:int(np.argmax(tiny))]
+    phases = _MINUS_I_POWERS if z > 0 else _MINUS_I_POWERS.conj()
+    return bessel * phases[np.arange(bessel.size) % 4]
 
 
 def _propagate(spec: ModelSpec, psi: np.ndarray, dt: float) -> np.ndarray:
@@ -213,23 +294,23 @@ def _propagate(spec: ModelSpec, psi: np.ndarray, dt: float) -> np.ndarray:
 
     With H_S's spectrum inside [lo, hi], centre c and half-width r,
     exp(-i H_S dt) = e^{-i c dt} sum_k (2 - delta_k0) (-i)^k J_k(r dt)
-    T_k((H_S - c) / r); the T_k(.) psi follow from the three-term
-    recurrence, one application of H_S each.
+    T_k(X), X = (H_S - c) / r; the T_k(X) psi follow from the three-term
+    recurrence T_{k+1} = 2 X T_k - T_{k-1}, one application of the bands
+    of 2 X each.
     """
-    apply, lo, hi = _hamiltonian(spec, psi.shape[1:])
+    diag, cols, vals, lo, hi = _hamiltonian(spec, psi.shape[1:])
     # a zero-width interval means H_S = c: any radius gives e^{-i c dt}
     center, radius = 0.5 * (hi + lo), 0.5 * (hi - lo) or 1.0
     coef = _chebyshev_coefficients(radius * dt)
+    diag2, vals2 = (2.0 / radius) * (diag - center), (2.0 / radius) * vals
 
-    def scaled(v):  # (H_S - c) v / r
-        return (apply(v) - center * v) / radius
-
-    prev, cur = psi, scaled(psi)
+    prev = psi.ravel()
+    cur = 0.5 * _apply_bands(diag2, cols, vals2, prev)
     out = coef[0] * prev + 2.0 * coef[1] * cur
-    for c in coef[2:]:
-        prev, cur = cur, 2.0 * scaled(cur) - prev
-        out += 2.0 * c * cur
-    return np.exp(-1j * center * dt) * out
+    for c in 2.0 * coef[2:]:
+        prev, cur = cur, _apply_bands(diag2, cols, vals2, cur) - prev
+        out += c * cur
+    return (np.exp(-1j * center * dt) * out).reshape(psi.shape)
 
 
 def evolve(state: FockCompositeState, spec: ModelSpec, dt: float,

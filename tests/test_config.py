@@ -277,6 +277,27 @@ def test_observable_problems_are_reported_once(observables, problems):
     assert exc.value.problems == problems
 
 
+@pytest.mark.parametrize("change, problem", [
+    (lambda raw: raw["observables"][0].update(f=5),
+     "observables[0].f: expected a 2-D array"),
+    (lambda raw: raw["observables"][0].update(f=[[[1, 0]], [[1, 0], [0, 0]]]),
+     "observables[0].f: rows have unequal lengths"),
+    (lambda raw: raw["observables"][0].update(f=[[]]),
+     "observables[0].f[0]: expected a non-empty array"),
+    (lambda raw: raw["model"].update(h0=5), "model.h0: expected a 2-D array"),
+    (lambda raw: raw["model"]["modes"][0].update(j=5),
+     "model.modes[0].j: expected a 2-D array"),
+], ids=["f", "f_ragged", "f_empty_row", "h0", "j"])
+def test_malformed_matrix_gets_one_line(change, problem):
+    # a matrix that could not be read has no size to compare with the
+    # model's dimension, so no second line reports one
+    raw = minimal_config()
+    change(raw)
+    with pytest.raises(ConfigError) as exc:
+        validate_config(raw)
+    assert exc.value.problems == [problem]
+
+
 @pytest.mark.parametrize("name", ["s,z", 's"z', "s\nz", "s\rz", "", ["x"], 3])
 def test_observable_name_must_be_one_csv_field(name):
     raw = minimal_config()

@@ -111,3 +111,17 @@ def test_classical_current_model_two_modes():
 def test_classical_current_model_zero_current():
     spec = classical_current_model([0.0], [2.0])
     assert np.allclose(rotated_currents(spec, 1.0)[0], np.zeros((1, 1)))
+
+
+def test_spec_keeps_read_only_copies_of_h0_and_the_currents(pauli):
+    # the cached eigenbasis and the oracle's cached operator assume that
+    # a spec never changes, whoever holds the arrays it was built from
+    h0, j = pauli["z"] / 2, 0.2 * pauli["minus"]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(1.0, j)])
+    h0[0, 1] = 1.0
+    j[0, 0] = 1.0
+    assert spec.h0[0, 1] == 0.0 and spec.modes[0].j[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        spec.h0[0, 1] = 1.0
+    with pytest.raises(ValueError):
+        spec.modes[0].j[0, 0] = 1.0

@@ -4,7 +4,8 @@ import pytest
 import semichain as sc
 from semichain.errors import TailMassExceeded
 from semichain.observables import Observable, mode_monomial
-from semichain.oracle import (_hamiltonian, _rhs, coherent_fock_vector,
+from semichain.oracle import (_apply_bands, _chebyshev_coefficients,
+                              _hamiltonian, _rhs, coherent_fock_vector,
                               tail_mass)
 
 from conftest import disk_grid, q_function, quad_phase_plane, random_fock_state
@@ -279,21 +280,39 @@ def test_evolve_one_long_step_equals_ten_short_ones(jc_spec):
     assert long.time == pytest.approx(short.time)
 
 
+def _dense_parts(h0, modes, levels):
+    """The free part H0 + sum_n omega_n N_n of H_S and its coupling
+    sum_n (J_n a_n^dag + J_n^dag a_n) as dense matrices, from Kronecker
+    products, for the (omega_n, J_n) of ``modes`` on mode sizes ``levels``."""
+    def on_mode(n, op):  # op on mode n, the identity on the other modes
+        out = np.eye(1)
+        for m, size in enumerate(levels):
+            out = np.kron(out, op if m == n else np.eye(size))
+        return out
+
+    free = np.kron(h0, np.eye(int(np.prod(levels))))
+    coupling = 0.0
+    for n, ((omega, j), size) in enumerate(zip(modes, levels)):
+        number = on_mode(n, np.diag(np.arange(float(size))))
+        free = free + omega * np.kron(np.eye(h0.shape[0]), number)
+        lower = np.diag(np.sqrt(np.arange(1.0, size)), 1)
+        raising = np.kron(j, on_mode(n, lower.T))
+        coupling = coupling + raising + raising.conj().T
+    return free, coupling
+
+
+def _expi(h, t):
+    """exp(i h t) for a Hermitian matrix h."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * w * t)) @ v.conj().T
+
+
 def _dense_interaction_propagator(h0, omega, j, cutoff, t0, dt):
     """R(t0 + dt) exp(-i H_S dt) R(-t0) as one dense matrix, from
     ``np.linalg.eigh`` of the Kronecker-product H_S and of the free part
     H0 + omega N, for one mode."""
-    d, levels = h0.shape[0], cutoff + 1
-    lower = np.diag(np.sqrt(np.arange(1.0, levels)), 1)
-    free = np.kron(h0, np.eye(levels)) \
-        + omega * np.kron(np.eye(d), np.diag(np.arange(float(levels))))
-    h_s = free + np.kron(j, lower.T) + np.kron(j.conj().T, lower)
-
-    def expi(h, t):  # exp(i h t)
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(1j * w * t)) @ v.conj().T
-
-    return expi(free, t0 + dt) @ expi(h_s, -dt) @ expi(free, -t0)
+    free, coupling = _dense_parts(h0, [(omega, j)], [cutoff + 1])
+    return _expi(free, t0 + dt) @ _expi(free + coupling, -dt) @ _expi(free, -t0)
 
 
 @pytest.mark.parametrize("h0_scale, g, a", [(1.0, 1.2, 0.5), (20.0, 0.4, 0.1)])
@@ -325,9 +344,9 @@ def test_spectral_interval_holds_the_spectrum_within_the_weyl_sum(pauli):
         sc.FieldMode(1.0, 0.4 * pauli["minus"] + 0.1 * pauli["z"]),
         sc.FieldMode(-0.7, 0.3 * pauli["x"])])
     shape = (2, 5, 4)
-    apply, lo, hi = _hamiltonian(spec, shape[1:])
+    diag, cols, vals, lo, hi = _hamiltonian(spec, shape[1:])
     basis = np.eye(int(np.prod(shape)), dtype=complex)
-    dense = np.array([apply(e.reshape(shape)).ravel() for e in basis]).T
+    dense = np.array([_apply_bands(diag, cols, vals, e) for e in basis]).T
     assert np.allclose(dense, dense.conj().T, rtol=0, atol=1e-14)
     spectrum = np.linalg.eigvalsh(dense)
     assert lo <= spectrum[0] and spectrum[-1] <= hi
@@ -338,3 +357,101 @@ def test_spectral_interval_holds_the_spectrum_within_the_weyl_sum(pauli):
         weyl += [min(top, 0.0) - reach, max(top, 0.0) + reach]
     assert weyl[0] <= lo and hi <= weyl[1]
     assert hi - lo < 0.75 * (weyl[1] - weyl[0])
+
+
+def _two_mode_model(pauli):
+    """Two modes, one of them at a negative frequency, a non-diagonal h0
+    and currents sigma_x + sigma_z that do not conserve the excitation
+    number, with the spec and the (omega_n, J_n) pairs."""
+    h0 = pauli["x"] / 2 + 0.3 * pauli["z"] / 2
+    modes = [(1.0, 0.4 * (pauli["x"] + pauli["z"])),
+             (-0.7, 0.3 * (pauli["x"] + pauli["z"]) + 0.1j * pauli["z"])]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(w, j) for w, j in modes])
+    return spec, h0, modes
+
+
+def test_bands_match_the_dense_hamiltonian(pauli):
+    spec, h0, modes = _two_mode_model(pauli)
+    levels = (5, 4)
+    diag, cols, vals, _, _ = _hamiltonian(spec, levels)
+    free, coupling = _dense_parts(h0, modes, levels)
+    basis = np.eye(free.shape[0], dtype=complex)
+    got = np.array([_apply_bands(diag, cols, vals, e) for e in basis]).T
+    assert np.max(np.abs(got - free - coupling)) < 1e-14
+    # h0's off-diagonal row entry takes one band; each current has two
+    # nonzeros per row, for a^dag and for a, on each of the two modes
+    assert cols.shape == vals.shape == (1 + 2 * 2 * 2, free.shape[0])
+    rows = np.broadcast_to(np.arange(free.shape[0]), cols.shape)
+    assert np.array_equal(cols[vals == 0], rows[vals == 0])
+
+
+def test_rotating_wave_two_modes_take_four_bands(pauli):
+    spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[
+        sc.FieldMode(1.0, 0.3 * pauli["minus"]),
+        sc.FieldMode(1.2, 0.3 * pauli["minus"])])
+    diag, cols, vals, _, _ = _hamiltonian(spec, (17, 17))
+    assert cols.shape == (4, 2 * 17 * 17)
+
+
+def test_rhs_matches_the_dense_interaction_picture_hamiltonian(pauli):
+    # H(t) = R(t) (H_S - H_free) R(t)^dag with R(t) = exp(i H_free t)
+    spec, h0, modes = _two_mode_model(pauli)
+    levels = (5, 4)
+    free, coupling = _dense_parts(h0, modes, levels)
+    rng = np.random.default_rng(43)
+    amps = (rng.standard_normal((2,) + levels)
+            + 1j * rng.standard_normal((2,) + levels))
+    for t in (0.0, 0.9, -2.3):
+        r = _expi(free, t)
+        ref = -1j * (r @ coupling @ r.conj().T) @ amps.ravel()
+        got = _rhs(spec, t, amps)
+        assert got.shape == amps.shape
+        assert np.max(np.abs(got.ravel() - ref)) < 1e-13
+
+
+def _bessel_by_fft(z, size=4096):
+    """(-i)^k J_k(z), k < size / 2, as the discrete Fourier coefficients
+    of e^{-i z cos t} (Jacobi-Anger expansion)."""
+    theta = 2 * np.pi * np.arange(size) / size
+    return np.fft.fft(np.exp(-1j * z * np.cos(theta)))[:size // 2] / size
+
+
+@pytest.mark.parametrize("z", [1e-3, 0.5, 9.47, 50.0, -3.3])
+def test_chebyshev_coefficients_match_a_fourier_reference(z):
+    coef = _chebyshev_coefficients(z)
+    ref = _bessel_by_fft(z)
+    assert coef.size > abs(z) + 1
+    assert np.max(np.abs(coef - ref[:coef.size])) < 1e-14
+    # what the series drops is below rounding
+    assert np.max(np.abs(ref[coef.size:])) < 1e-14
+
+
+@pytest.mark.parametrize("z", [400.0, -400.0, 1e-12])
+def test_chebyshev_coefficients_at_extreme_arguments(z):
+    # a large |z| starts the recurrence far above the transition, and a
+    # tiny one grows it by orders of 2k / |z|: neither may overflow
+    coef = _chebyshev_coefficients(z)
+    assert np.all(np.isfinite(coef))
+    # at t = 0 the Jacobi-Anger expansion sums to e^{-i z}, and its
+    # squares to 1
+    k_weight = np.where(np.arange(coef.size) == 0, 1.0, 2.0)
+    assert abs(np.sum(k_weight * coef) - np.exp(-1j * z)) < 1e-12
+    assert np.sum(k_weight * np.abs(coef) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_evolve_alternating_between_specs_matches_fresh_builds(pauli):
+    # the operator built for one spec is reused only for that spec: a
+    # run that alternates two models gets the bits of a build per block
+    def specs():
+        return [sc.ModelSpec(h0=pauli["z"] / 2,
+                             modes=[sc.FieldMode(1.0, 0.3 * pauli["minus"])]),
+                _two_mode_model(pauli)[0]]
+
+    alternating = specs()
+    states = [sc.build_initial(alternating[0], [0.6, 0.8], [1.0], [20]),
+              sc.build_initial(alternating[1], [1.0, 0.0], [0.5, 0.2j],
+                               [14, 14])]
+    for k in (0, 0, 1, 0, 1, 1):
+        fresh = sc.evolve(states[k], specs()[k], 0.4)
+        states[k] = sc.evolve(states[k], alternating[k], 0.4)
+        assert np.array_equal(states[k].amplitudes, fresh.amplitudes)

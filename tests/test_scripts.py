@@ -19,6 +19,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
     ["pointwise_error.py", "--n", "300", "--t", "1", "--derivative", "exact"],
     ["time_run.py", os.path.join(ROOT, "configs", "jc_small.json"),
      "--runs", "1"],
+    ["time_oracle.py", "--runs", "1", "--blocks", "2", "--cutoff", "8"],
 ], ids=lambda args: args[0])
 def test_script_runs(args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
