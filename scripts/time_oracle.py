@@ -11,7 +11,10 @@ runs of:
 - first: the first block's ``evolve``, which builds H_S and its
   spectral interval;
 - later: the median of the later blocks' ``evolve`` calls, which reuse
-  them.
+  them;
+- read: the median of the blocks' read-outs, each the
+  ``antinormal_expectation`` of sz and of every mode's a a^dag on the
+  block's evolved state.
 
 Presets (h0 = sz/2, resonant rotating-wave currents g sigma-minus, the
 atom excited, coherent fields at a0):
@@ -55,9 +58,12 @@ PRESETS = {
 
 
 def time_preset(modes, a0, cutoff, block, runs, blocks):
-    """Median first-block and later-block ``evolve`` times in seconds,
-    and the dimension of the truncated space."""
-    firsts, laters = [], []
+    """Median first-block and later-block ``evolve`` times and read-out
+    times in seconds, and the dimension of the truncated space."""
+    observables = [sc.atomic_observable(SZ, len(modes))] + [
+        sc.Observable(f=None, poly=sc.mode_monomial(len(modes), n, 1, 1))
+        for n in range(len(modes))]
+    firsts, laters, reads = [], [], []
     for _ in range(runs):
         # a new spec each run, so its first block builds H_S afresh
         spec = sc.ModelSpec(h0=SZ, modes=[sc.FieldMode(w, g * SM)
@@ -65,15 +71,20 @@ def time_preset(modes, a0, cutoff, block, runs, blocks):
         amps = sc.build_initial(spec, [1.0, 0.0], a0, [cutoff] * len(a0),
                                 tail_threshold=1.0).amplitudes
         state = sc.FockCompositeState(amps / np.linalg.norm(amps))
-        times = []
+        times, read = [], []
         for _ in range(blocks):
             t0 = time.perf_counter()
             state = sc.evolve(state, spec, block, tail_threshold=1.0)
-            times.append(time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            for ob in observables:
+                sc.antinormal_expectation(state, ob, tail_threshold=1.0)
+            read.append(time.perf_counter() - t1)
+            times.append(t1 - t0)
         firsts.append(times[0])
         laters.append(statistics.median(times[1:]))
+        reads.append(statistics.median(read))
     return (statistics.median(firsts), statistics.median(laters),
-            state.amplitudes.size)
+            statistics.median(reads), state.amplitudes.size)
 
 
 def main(argv=None):
@@ -86,13 +97,15 @@ def main(argv=None):
         ap.error("--blocks must be at least 2")
 
     print(f"runs={args.runs} blocks={args.blocks}")
-    print(f"{'preset':<13} {'dim':>6} {'first_ms':>9} {'later_ms':>9}")
+    print(f"{'preset':<13} {'dim':>6} {'first_ms':>9} {'later_ms':>9} "
+          f"{'read_ms':>9}")
     for name, preset in PRESETS.items():
         if args.cutoff is not None:
             preset = dict(preset, cutoff=args.cutoff)
-        first, later, dim = time_preset(**preset, runs=args.runs,
-                                        blocks=args.blocks)
-        print(f"{name:<13} {dim:>6} {1e3 * first:9.3f} {1e3 * later:9.3f}")
+        first, later, read, dim = time_preset(**preset, runs=args.runs,
+                                              blocks=args.blocks)
+        print(f"{name:<13} {dim:>6} {1e3 * first:9.3f} {1e3 * later:9.3f} "
+              f"{1e3 * read:9.3f}")
 
 
 if __name__ == "__main__":

@@ -277,7 +277,7 @@ def _fill_basis(alphas, basis, carrier, parts, inverse=None, center=None):
         center = w.mean()
     w -= center
     basis[0] = 1.0
-    for m in range(2, _FIT_TERMS):
+    for m in range(2, basis.shape[0]):
         np.multiply(basis[m - 1], w, out=basis[m])
     u = np.multiply(center.conjugate(), w, out=carrier)
     modulus, sine = parts
@@ -328,7 +328,8 @@ class BargmannInterpolant:
     by ``np.linalg.lstsq``, whose minimum-norm solution keeps the fit
     finite.
 
-    ``coef`` holds the c_n, shape (K, d). The update reads
+    ``coef`` holds the c_n, shape (K, d), and ``values`` takes K from
+    it, so a fit keeps the K it was made with. The update reads
     ``derivative()`` (through ``_derivatives``); ``reformat`` reads
     ``values``, ``log_weights`` and ``residual``. The basis and carrier
     at the chain's points live in the buffers of ``workspace`` (a new
@@ -366,7 +367,7 @@ class BargmannInterpolant:
     def values(self, alphas):
         """Phi at every row of ``alphas`` (shape (N, 1)); shape (N, d)."""
         n = alphas.shape[0]
-        basis = np.empty((_FIT_TERMS, n), dtype=complex)
+        basis = np.empty((self.coef.shape[0], n), dtype=complex)
         carrier = np.empty(n, dtype=complex)
         _fill_basis(alphas, basis, carrier, np.empty((2, n)),
                     center=self._center)

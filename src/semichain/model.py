@@ -30,9 +30,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldMode:
-    """One harmonic mode: angular frequency and its coupling operator."""
+    """One harmonic mode: angular frequency and its coupling operator.
+    Modes compare and hash by identity."""
 
     omega: float
     j: np.ndarray
@@ -43,7 +44,7 @@ class FieldMode:
             raise DimensionMismatch("mode frequency must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Validated composite model: atomic Hamiltonian plus field modes.
 
@@ -51,14 +52,15 @@ class ModelSpec:
     mode current; instances are immutable afterwards: ``h0`` and every
     current are read-only copies of the caller's arrays. The eigenbasis of
     ``h0``, and every current in it, is precomputed once so that rotated
-    currents are cheap in the per-step hot path.
+    currents are cheap in the per-step hot path. Specs compare and hash
+    by identity, so a spec can key a cache without comparing arrays.
     """
 
     h0: np.ndarray
     modes: tuple
-    _evals: np.ndarray = field(init=False, repr=False, compare=False)
-    _evecs: np.ndarray = field(init=False, repr=False, compare=False)
-    _eig_currents: tuple = field(init=False, repr=False, compare=False)
+    _evals: np.ndarray = field(init=False, repr=False)
+    _evecs: np.ndarray = field(init=False, repr=False)
+    _eig_currents: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         h0 = _read_only(as_operator(self.h0))

@@ -53,6 +53,8 @@ class Observable:
         poly = tuple(m if isinstance(m, Monomial) else Monomial(*m) for m in self.poly)
         if len(poly) == 0:
             raise ValueError("observable needs at least one monomial (use unit_poly)")
+        if len({len(m.p) for m in poly}) > 1:
+            raise ValueError("every monomial needs the same number of modes")
         object.__setattr__(self, "poly", poly)
 
     @property

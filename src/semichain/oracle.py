@@ -15,10 +15,13 @@ band per nonzero of an atomic row, built once per model and mode sizes;
 the expansion's Bessel coefficients come from Miller's backward
 recurrence. Everything the semiclassical chain claims to reproduce is
 computed here exactly (within truncation): coherent-state amplitudes,
-Bargmann projections, and antinormally ordered expectations. The module
-needs numpy alone, and not its fft or random packages.
+Bargmann projections, and antinormally ordered expectations, where each
+monomial is one inner product of two shifted slices of the state times
+their raising factors, exact past the cutoff (no level is dropped). The
+module needs numpy alone, and not its fft or random packages.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,26 +106,6 @@ def build_initial(spec: ModelSpec, atomic, alphas0, cutoffs,
     return check_tail(state, tail_threshold)
 
 
-def _ladder(amps: np.ndarray, mode: int, dagger: bool) -> np.ndarray:
-    """The absorption operator a, or with ``dagger`` the creation
-    operator a^dag (which truncates at the top), on one mode axis: a
-    moves the amplitude of level n to level n - 1, a^dag that of level
-    n - 1 to level n, each times sqrt(n)."""
-    ax = mode + 1
-    n_levels = amps.shape[ax]
-    shape = [1] * amps.ndim
-    shape[ax] = n_levels - 1
-    factors = np.sqrt(np.arange(1, n_levels)).reshape(shape)
-    lower = [slice(None)] * amps.ndim
-    upper = list(lower)
-    lower[ax] = slice(0, n_levels - 1)
-    upper[ax] = slice(1, n_levels)
-    src, dst = (lower, upper) if dagger else (upper, lower)
-    out = np.zeros_like(amps)
-    out[tuple(dst)] = amps[tuple(src)] * factors
-    return out
-
-
 def _atomic_apply(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """An atomic operator on the first axis of composite amplitudes."""
     return (mat @ amps.reshape(amps.shape[0], -1)).reshape(amps.shape)
@@ -204,9 +187,7 @@ def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-_last_hamiltonian = None  # (spec, levels, result) of the last build
-
-
+@functools.lru_cache(maxsize=1)
 def _hamiltonian(spec: ModelSpec, levels: tuple) -> tuple:
     """H_S = H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n) on the
     flattened composite amplitudes of mode sizes ``levels``, as its
@@ -219,14 +200,10 @@ def _hamiltonian(spec: ModelSpec, levels: tuple) -> tuple:
     which acts on the atom and that one mode alone: an ``eigvalsh`` of
     size d (cutoff_n + 1) each.
 
-    The last result is kept, keyed on the spec's identity and
-    ``levels``, so the blocks of one run build it once; a spec never
-    changes (its h0 and currents are read-only).
+    The last result is kept, keyed on the spec (which compares by
+    identity) and ``levels``, so the blocks of one run build it once; a
+    spec never changes (its h0 and currents are read-only).
     """
-    global _last_hamiltonian
-    last = _last_hamiltonian
-    if last is not None and last[0] is spec and last[1] == levels:
-        return last[2]
     h0_diag = np.diag(spec.h0)
     diag = h0_diag.reshape((spec.d,) + (1,) * len(levels))
     lo, hi = float(spec._evals[0]), float(spec._evals[-1])
@@ -244,9 +221,7 @@ def _hamiltonian(spec: ModelSpec, levels: tuple) -> tuple:
     arrays = (diag.ravel(), cols, vals)
     for a in arrays:
         a.setflags(write=False)  # shared by every later block
-    result = arrays + (lo, hi)
-    _last_hamiltonian = (spec, levels, result)
-    return result
+    return arrays + (lo, hi)
 
 
 # Chebyshev terms whose coefficient is below this are dropped; the
@@ -372,28 +347,44 @@ def coherent_amplitude(state: FockCompositeState, alpha) -> np.ndarray:
     return gauss * bargmann_projection(state, alpha.conj())
 
 
+def _raised(amps: np.ndarray, powers: tuple, levels: list) -> np.ndarray:
+    """prod_n (a_n^dag)^{p_n} Psi, with ``powers`` the p_n, at ``levels``
+    (a range per mode, from p_n up): as (a^dag)^p |k> =
+    sqrt((k + p)! / k!) |k + p>, level m holds the amplitude at m - p
+    times sqrt(m! / (m - p)!)."""
+    out = amps[(slice(None),) + tuple(slice(r.start - p, r.stop - p)
+                                      for p, r in zip(powers, levels))]
+    for n, (p, r) in enumerate(zip(powers, levels)):
+        if p:  # weights on axis n + 1, broadcast over the later axes
+            m = np.arange(r.start, r.stop, dtype=float)
+            weight = np.sqrt(np.prod([m - k for k in range(p)], axis=0))
+            out = out * weight.reshape((-1,) + (1,) * (len(powers) - 1 - n))
+    return out
+
+
 def antinormal_expectation(state: FockCompositeState, obs: Observable,
                            tail_threshold: float = DEFAULT_TAIL_THRESHOLD) -> complex:
     """Exact matrix element of the antinormally ordered observable.
 
     Each monomial alpha^p conj(alpha)^q maps to a^p (atomic F) (a^dag)^q
-    with all absorption operators on the left; the matrix element is
-    computed as <(a^dag)^p Psi | F | (a^dag)^q Psi>. Mode axes are
-    padded before raising so no amplitude is lost at the cutoff; the
-    guard below rejects states whose own truncation is already suspect.
+    with all absorption operators on the left. Its matrix element
+    <(a^dag)^p Psi | F | (a^dag)^q Psi> is one inner product of two
+    weighted slices of the state (``_raised``): on a mode of L levels the
+    raised vectors share the levels max(p, q) <= m < L + min(p, q), and
+    none when |p - q| >= L. Nothing is cut at the cutoff; the guard below
+    rejects states whose own truncation is already suspect.
     """
     if obs.n_modes != state.n_modes:
         raise DimensionMismatch("observable and state disagree on mode count")
     check_tail(state, tail_threshold)
     f = obs.atomic_matrix(state.d)
+    amps = state.amplitudes
     total = 0.0 + 0.0j
     for mono in obs.poly:
-        bra = ket = np.pad(state.amplitudes, [(0, 0)] + [
-            (0, max(pn, qn)) for pn, qn in zip(mono.p, mono.q)])
-        for n, (pn, qn) in enumerate(zip(mono.p, mono.q)):
-            for _ in range(pn):
-                bra = _ladder(bra, n, dagger=True)
-            for _ in range(qn):
-                ket = _ladder(ket, n, dagger=True)
+        # an empty range when |p - q| >= L keeps every slice stop >= 0
+        levels = [range(max(p, q), max(p, q, size + min(p, q)))
+                  for p, q, size in zip(mono.p, mono.q, amps.shape[1:])]
+        bra, ket = (_raised(amps, powers, levels)
+                    for powers in (mono.p, mono.q))
         total += mono.coeff * complex(np.vdot(bra, _atomic_apply(f, ket)))
     return total

@@ -755,6 +755,19 @@ def test_fit_is_exact_on_its_class(n, a0, near_pair):
     assert np.max(_rel_err(d, exact)) <= 1e-10
 
 
+def test_fit_keeps_its_own_term_count(monkeypatch):
+    # a fit made with K = 12 reads 12 terms after the module's K is back
+    # at 8; its 12-term basis holds the 8-term class exactly
+    alphas = _cloud(2000, 1.0)
+    phis, _ = _in_class(alphas)
+    monkeypatch.setattr(chain_module, "_FIT_TERMS", 12)
+    fit = BargmannInterpolant(alphas, phis)
+    monkeypatch.undo()
+    assert chain_module._FIT_TERMS == 8 and fit.coef.shape == (12, 2)
+    assert np.max(_rel_err(fit.values(alphas), phis)) <= 1e-10
+    assert fit.residual <= 1e-10
+
+
 def test_fit_gives_a_repeated_row_its_originals_derivative():
     # Metropolis repeats are repeated rows: no grouping is needed
     reps = np.repeat(np.arange(500), 1 + np.arange(500) % 3)

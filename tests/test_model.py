@@ -11,6 +11,19 @@ def test_validate_accepts_jc(pauli):
     assert spec.d == 2 and spec.n_modes == 1
 
 
+def test_specs_and_modes_compare_by_identity(pauli):
+    def make():
+        return sc.ModelSpec(h0=pauli["z"] / 2,
+                            modes=[sc.FieldMode(1.0, pauli["minus"])])
+
+    a, b = make(), make()
+    assert a == a and a.modes[0] == a.modes[0]
+    # equal values compare unequal, without comparing arrays
+    assert a != b and a.modes[0] != b.modes[0]
+    assert len({a, b, a}) == 2 and hash(a.modes[0]) == hash(a.modes[0])
+    assert classical_current_model(0.5, 1.0) != classical_current_model(0.5, 1.0)
+
+
 def test_validate_rejects_non_hermitian():
     h0 = np.zeros((2, 2), dtype=complex)
     h0[0, 1] = 1.0

@@ -19,6 +19,12 @@ def test_observable_requires_monomials():
         Observable(f=None, poly=())
 
 
+def test_observable_rejects_monomials_of_different_mode_counts():
+    with pytest.raises(ValueError, match="same number of modes"):
+        Observable(f=None, poly=[Monomial(1, (1,), (1,)),
+                                 Monomial(1, (1, 0), (0, 0))])
+
+
 def test_poly_values_single_mode():
     obs = Observable(f=None, poly=mode_monomial(1, 0, 1, 1), name="aad")
     alphas = np.array([[1.0 + 1.0j], [2.0]])

@@ -3,7 +3,7 @@ import pytest
 
 import semichain as sc
 from semichain.errors import TailMassExceeded
-from semichain.observables import Observable, mode_monomial
+from semichain.observables import Monomial, Observable, mode_monomial
 from semichain.oracle import (_apply_bands, _chebyshev_coefficients,
                               _hamiltonian, _rhs, coherent_fock_vector,
                               tail_mass)
@@ -256,6 +256,45 @@ def test_antinormal_raising_is_exact_with_padding():
     st = sc.FockCompositeState(amplitudes=amps)
     obs = Observable(f=None, poly=mode_monomial(1, 0, 1, 1), name="aad")
     assert sc.antinormal_expectation(st, obs) == pytest.approx(7.0, abs=1e-12)
+
+
+def test_antinormal_matches_dense_ladder_matrices():
+    # <(a^dag)^p Psi| F |(a^dag)^q Psi> from Kronecker products of a^dag
+    # on a space padded by the largest power, where nothing is cut
+    rng = np.random.default_rng(41)
+    cutoffs = (3, 4)
+    shape = (2,) + tuple(c + 1 for c in cutoffs)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps /= np.linalg.norm(amps)
+    st = sc.FockCompositeState(amplitudes=amps)
+    f = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    monos = [Monomial(1.0, (2, 1), (0, 3)), Monomial(0.5 - 1j, (1, 0), (3, 2)),
+             Monomial(-2.0j, (0, 4), (1, 2))]
+    # |p - q| > cutoff + 1 on mode 0: a slice stop below 0 must not wrap
+    far = Monomial(1.0, (1, 1), (cutoffs[0] + 3, 1))
+    top = max(max(m.p + m.q) for m in monos + [far])
+    padded = np.zeros((2,) + tuple(c + 1 + top for c in cutoffs), dtype=complex)
+    padded[:, :shape[1], :shape[2]] = amps
+    raising = [np.diag(np.sqrt(np.arange(1.0, size)), -1)
+               for size in padded.shape[1:]]
+
+    def raised(powers):
+        op = np.eye(2)
+        for r, p in zip(raising, powers):
+            op = np.kron(op, np.linalg.matrix_power(r, p))
+        return op @ padded.ravel()
+
+    f_full = np.kron(f, np.eye(padded[0].size))
+    dense = [m.coeff * np.vdot(raised(m.p), f_full @ raised(m.q)) for m in monos]
+    for m, ref in zip(monos, dense):
+        got = sc.antinormal_expectation(st, Observable(f=f, poly=[m]),
+                                        tail_threshold=1.0)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+    got = sc.antinormal_expectation(st, Observable(f=f, poly=monos),
+                                    tail_threshold=1.0)
+    assert abs(got - sum(dense)) <= 1e-12 * max(1.0, abs(sum(dense)))
+    assert sc.antinormal_expectation(st, Observable(f=f, poly=[far]),
+                                     tail_threshold=1.0) == 0
 
 
 def test_evolve_raises_when_cutoff_cannot_hold_the_state():
