@@ -9,16 +9,19 @@ solves the interaction-picture equation
 exactly on the truncated space: the time dependence is the free
 rotation exp(i (H0 + sum_n omega_n N_n) t) of one fixed Schrodinger-frame
 Hamiltonian H_S, whose exponential action is a Chebyshev expansion
-(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984). H_S acts on the
-flattened amplitudes as sparse bands, its diagonal and one gathered
-band per nonzero of an atomic row, built once per model and mode sizes;
-the expansion's Bessel coefficients come from Miller's backward
-recurrence. Everything the semiclassical chain claims to reproduce is
-computed here exactly (within truncation): coherent-state amplitudes,
-Bargmann projections, and antinormally ordered expectations, where each
-monomial is one inner product of two shifted slices of the state times
-their raising factors, exact past the cutoff (no level is dropped). The
-module needs numpy alone, and not its fft or random packages.
+(Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967, 1984). H_S is h0 plus one
+matrix per mode, K_n = omega_n N_n + J_n a_n^dag + J_n^dag a_n on the
+atom and mode n; these K_n give both the spectral bound of the
+expansion and its sparse bands on the flattened amplitudes, the
+diagonal and one gathered band per off-diagonal nonzero of a row of h0
+or of a K_n, built once per model and mode sizes. The expansion's
+Bessel coefficients come from Miller's backward recurrence. Everything
+the semiclassical chain claims to reproduce is computed here exactly
+(within truncation): coherent-state amplitudes, Bargmann projections,
+and antinormally ordered expectations, where each monomial is one inner
+product of two shifted slices of the state times their raising factors,
+exact past the cutoff (no level is dropped). The module needs numpy
+alone, and not its fft or random packages.
 """
 
 import functools
@@ -72,8 +75,9 @@ def coherent_fock_vector(alpha: complex, cutoff: int) -> np.ndarray:
 def tail_mass(state: FockCompositeState) -> float:
     """Largest over modes of the mass in that mode's top two levels."""
     amps = state.amplitudes
-    return max(float(np.sum(np.abs(np.moveaxis(amps, m + 1, 0)[-2:]) ** 2))
-               for m in range(state.n_modes))
+    tops = (amps[(slice(None),) * (m + 1) + (slice(-2, None),)]
+            for m in range(state.n_modes))
+    return max(float(np.vdot(top, top).real) for top in tops)
 
 
 def check_tail(state: FockCompositeState, threshold: float = DEFAULT_TAIL_THRESHOLD):
@@ -111,55 +115,51 @@ def _atomic_apply(mat: np.ndarray, amps: np.ndarray) -> np.ndarray:
     return (mat @ amps.reshape(amps.shape[0], -1)).reshape(amps.shape)
 
 
-def _bands(levels: tuple, terms) -> tuple:
-    """sum over ``terms`` of A (x) op as sparse bands on the flattened
-    composite amplitudes of mode sizes ``levels``.
+def _pair_operator(omega: float, j: np.ndarray, size: int) -> np.ndarray:
+    """K = omega N + J a^dag + J^dag a on (atom) x (one mode of ``size``
+    levels), as a dense matrix of size d * size."""
+    coupling = np.kron(j, np.diag(np.sqrt(np.arange(1.0, size)), -1))
+    term = np.kron(np.eye(len(j)), np.diag(omega * np.arange(size)))
+    return term + coupling + coupling.conj().T
 
-    Each term is (A, n, dagger): the atomic matrix A times a_n^dag (with
-    ``dagger``) or a_n on mode n, or times the identity if n is None.
-    The k-th nonzero of every row of A shares one band, so a term adds
-    as many bands as A's fullest row has nonzeros. Returns ``cols`` and
-    ``vals`` of shape (B, D), with D the flattened size: the operator
-    maps v to (vals * v[cols]).sum(0). A padded entry has value 0 and
-    points at its own row.
+
+def _operator(h0: np.ndarray, pairs, levels: tuple) -> tuple:
+    """h0 + sum_n K_n on the flattened composite amplitudes of mode sizes
+    ``levels``, where K_n = ``pairs[n]`` acts on the atom and mode n.
+
+    Returns the diagonal ``diag`` (D,) and the bands ``cols``, ``vals``
+    (B, D) of the rest: the operator maps v to
+    ``_apply_bands(diag, cols, vals, v)``. The k-th off-diagonal nonzero
+    of every row of a factor (h0 or a K_n) shares one band, so a factor
+    adds as many bands as its fullest row has such nonzeros. A padded
+    entry has value 0 and points at its own row.
     """
-    d = terms[0][0].shape[0]
-    shape = (d,) + tuple(levels)
-    own = np.arange(int(np.prod(shape))).reshape(shape)
-    atom = (d,) + (1,) * len(levels)
+    own = np.arange(len(h0) * int(np.prod(levels))).reshape(len(h0), *levels)
+    diag = np.zeros(own.size, dtype=complex)
     cols, vals = [], []
-    for a, mode, dagger in terms:
-        source, factor = own, np.ones(1)
-        if mode is not None:
-            # a^dag takes level n - 1 to n, times sqrt(n); a takes level
-            # n + 1 to n, times sqrt(n + 1); the wrapped edge gets 0
-            axis = mode + 1
-            source = np.roll(own, 1 if dagger else -1, axis=axis)
-            root = np.sqrt(np.arange(levels[mode], dtype=float))
-            factor = (root if dagger else np.append(root[1:], 0.0)).reshape(
-                [-1 if ax == axis else 1 for ax in range(own.ndim)])
-        nonzero = [np.flatnonzero(row) for row in a]
-        for k in range(max(map(len, nonzero))):
-            has = np.array([k < len(nz) for nz in nonzero])
-            src = np.array([nz[k] if k < len(nz) else i
-                            for i, nz in enumerate(nonzero)])
-            band = np.broadcast_to(
-                (has * a[np.arange(d), src]).reshape(atom) * factor, shape)
-            vals.append(band.ravel())
-            cols.append(np.where(band == 0, own, source[src]).ravel())
-    return (np.array(cols, dtype=int).reshape(-1, own.size),
-            np.array(vals, dtype=complex).reshape(-1, own.size))
-
-
-def _coupling_terms(currents) -> list:
-    """The terms J_n a_n^dag and J_n^dag a_n of ``_bands`` for the
-    currents J_n in mode order."""
-    return [term for n, j in enumerate(currents)
-            for term in ((j, n, True), (j.conj().T, n, False))]
+    factors = [((0,), h0)] + [((0, n + 1), k) for n, k in enumerate(pairs)]
+    for axes, f in factors:
+        # rows[r, s]: the flat index of the factor's row r, the other
+        # axes at s
+        rows = np.moveaxis(own, axes, range(len(axes))).reshape(len(f), -1)
+        diag[rows] += f.diagonal()[:, None]
+        # np.nonzero lists the rows in order: an entry's slot in its row
+        # is its position past the row's first entry
+        r, c = np.nonzero((f != 0) & ~np.eye(len(f), dtype=bool))
+        slot = np.arange(r.size) - np.searchsorted(r, r)
+        band_cols = np.tile(np.arange(len(f)), (slot.max(initial=-1) + 1, 1))
+        band_vals = np.zeros(band_cols.shape, dtype=complex)
+        band_cols[slot, r], band_vals[slot, r] = c, f[r, c]
+        col = np.empty((len(band_cols), own.size), dtype=int)
+        val = np.empty(col.shape, dtype=complex)
+        col[:, rows], val[:, rows] = rows[band_cols], band_vals[..., None]
+        cols.append(col)
+        vals.append(val)
+    return diag, np.concatenate(cols), np.concatenate(vals)
 
 
 def _apply_bands(diag, cols, vals, v: np.ndarray) -> np.ndarray:
-    """diag * v plus the bands of ``_bands`` applied to the flat v."""
+    """diag * v plus the bands of ``_operator`` applied to the flat v."""
     return diag * v + (vals * v[cols]).sum(0)
 
 
@@ -171,9 +171,11 @@ def _rhs(spec: ModelSpec, t: float, amps: np.ndarray) -> np.ndarray:
     It stays as the independent reference that the propagator tests
     integrate, and as the name the benchmark tracer counts.
     """
-    cols, vals = _bands(amps.shape[1:],
-                        _coupling_terms(rotated_currents(spec, t)))
-    return -1j * _apply_bands(0.0, cols, vals, amps.ravel()).reshape(amps.shape)
+    levels = amps.shape[1:]
+    pairs = [_pair_operator(0.0, j, size)
+             for j, size in zip(rotated_currents(spec, t), levels)]
+    bands = _operator(np.zeros((spec.d, spec.d)), pairs, levels)
+    return -1j * _apply_bands(*bands, amps.ravel()).reshape(amps.shape)
 
 
 def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
@@ -189,36 +191,28 @@ def _free_rotation(spec: ModelSpec, amps: np.ndarray, t: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _hamiltonian(spec: ModelSpec, levels: tuple) -> tuple:
-    """H_S = H0 + sum_n (omega_n N_n + J_n a_n^dag + J_n^dag a_n) on the
-    flattened composite amplitudes of mode sizes ``levels``, as its
-    diagonal ``diag`` (D,) and the bands ``cols``, ``vals`` (B, D) of
-    the rest (``_bands``), together with an interval [lo, hi] that holds
-    its whole spectrum: H_S v = ``_apply_bands(diag, cols, vals, v)``.
+    """H_S = H0 + sum_n K_n, K_n = omega_n N_n + J_n a_n^dag + J_n^dag a_n
+    (``_pair_operator``), on the flattened composite amplitudes of mode
+    sizes ``levels``, as its diagonal ``diag`` (D,) and the bands
+    ``cols``, ``vals`` (B, D) of the rest (``_operator``), together with
+    an interval [lo, hi] that holds its whole spectrum:
+    H_S v = ``_apply_bands(diag, cols, vals, v)``.
 
     The interval adds, by Weyl's inequality, the extreme eigenvalues of
-    h0 and of each mode's own term omega_n N_n + J_n a_n^dag + J_n^dag a_n,
-    which acts on the atom and that one mode alone: an ``eigvalsh`` of
-    size d (cutoff_n + 1) each.
+    h0 and of each K_n, which acts on the atom and that one mode alone:
+    an ``eigvalsh`` of size d (cutoff_n + 1) each.
 
     The last result is kept, keyed on the spec (which compares by
     identity) and ``levels``, so the blocks of one run build it once; a
     spec never changes (its h0 and currents are read-only).
     """
-    h0_diag = np.diag(spec.h0)
-    diag = h0_diag.reshape((spec.d,) + (1,) * len(levels))
+    pairs = [_pair_operator(mode.omega, mode.j, size)
+             for mode, size in zip(spec.modes, levels)]
     lo, hi = float(spec._evals[0]), float(spec._evals[-1])
-    for n, (mode, size) in enumerate(zip(spec.modes, levels)):
-        shape = [1] * (len(levels) + 1)
-        shape[n + 1] = size
-        diag = diag + mode.omega * np.arange(size).reshape(shape)
-        coupling = np.kron(mode.j, np.diag(np.sqrt(np.arange(1.0, size)), -1))
-        term = np.kron(np.eye(spec.d), np.diag(mode.omega * np.arange(size)))
-        evals = np.linalg.eigvalsh(term + coupling + coupling.conj().T)
+    for k in pairs:
+        evals = np.linalg.eigvalsh(k)
         lo, hi = lo + evals[0], hi + evals[-1]
-    terms = [(spec.h0 - np.diag(h0_diag), None, False)]
-    cols, vals = _bands(levels, terms + _coupling_terms(
-        [mode.j for mode in spec.modes]))
-    arrays = (diag.ravel(), cols, vals)
+    arrays = _operator(spec.h0, pairs, levels)
     for a in arrays:
         a.setflags(write=False)  # shared by every later block
     return arrays + (lo, hi)

@@ -25,6 +25,23 @@ def test_build_initial_poisson_tail(jc_spec):
     assert np.allclose(st.amplitudes[0, :4], expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(3, 9), (2, 6, 7), (2, 4, 5, 3)],
+                         ids=["M=1", "M=2", "M=3"])
+def test_tail_mass_is_the_heaviest_top_two_levels(shape):
+    rng = np.random.default_rng(len(shape))
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    amps[(slice(None),) * (len(shape) - 1) + (slice(-2, None),)] *= 3.0
+    amps /= np.linalg.norm(amps)
+    mass = np.abs(amps) ** 2
+    direct = [mass.take([-2, -1], axis=axis).sum()
+              for axis in range(1, len(shape))]
+    # the last mode's tail is the heaviest, so a tail_mass that read
+    # the first mode alone would fail
+    assert int(np.argmax(direct)) == len(direct) - 1
+    got = tail_mass(sc.FockCompositeState(amps))
+    assert got == pytest.approx(max(direct), rel=1e-14, abs=0)
+
+
 def test_build_initial_cutoff_too_small(jc_spec):
     with pytest.raises(TailMassExceeded):
         sc.build_initial(jc_spec, [1.0, 0.0], [3.0], [4])
@@ -409,27 +426,67 @@ def _two_mode_model(pauli):
     return spec, h0, modes
 
 
+def _three_level_model(pauli):
+    """d = 3: an h0 with one off-diagonal pair, and two modes, one at a
+    negative frequency, whose currents have 2, 0 and 1 nonzeros in their
+    rows (their adjoints 1, 1 and 1), with the spec and the
+    (omega_n, J_n) pairs."""
+    h0 = np.diag([0.5, -0.2, 0.1]).astype(complex)
+    h0[0, 2] = h0[2, 0] = 0.3
+    shape = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]])
+    modes = [(0.8, shape * [[0.2, 0.1j, 0], [0, 0, 0], [0, 0, -0.3]]),
+             (-0.6, shape * [[0.1, -0.2, 0], [0, 0, 0], [0, 0, 0.4j]])]
+    spec = sc.ModelSpec(h0=h0, modes=[sc.FieldMode(w, j) for w, j in modes])
+    return spec, h0, modes
+
+
 def test_bands_match_the_dense_hamiltonian(pauli):
-    spec, h0, modes = _two_mode_model(pauli)
-    levels = (5, 4)
-    diag, cols, vals, _, _ = _hamiltonian(spec, levels)
-    free, coupling = _dense_parts(h0, modes, levels)
-    basis = np.eye(free.shape[0], dtype=complex)
-    got = np.array([_apply_bands(diag, cols, vals, e) for e in basis]).T
-    assert np.max(np.abs(got - free - coupling)) < 1e-14
-    # h0's off-diagonal row entry takes one band; each current has two
-    # nonzeros per row, for a^dag and for a, on each of the two modes
-    assert cols.shape == vals.shape == (1 + 2 * 2 * 2, free.shape[0])
-    rows = np.broadcast_to(np.arange(free.shape[0]), cols.shape)
-    assert np.array_equal(cols[vals == 0], rows[vals == 0])
+    for model, levels, n_bands in [
+            # h0's off-diagonal row entry takes one band; each row of each
+            # mode's K_n holds two entries from J (a^dag) and two from
+            # J^dag (a)
+            (_two_mode_model, (5, 4), 1 + 4 + 4),
+            # one band for h0; the fullest K_n row, atom level 0, holds
+            # two entries from J and one from J^dag
+            (_three_level_model, (4, 3), 1 + 3 + 3)]:
+        spec, h0, modes = model(pauli)
+        diag, cols, vals, _, _ = _hamiltonian(spec, levels)
+        free, coupling = _dense_parts(h0, modes, levels)
+        basis = np.eye(free.shape[0], dtype=complex)
+        got = np.array([_apply_bands(diag, cols, vals, e) for e in basis]).T
+        assert np.max(np.abs(got - free - coupling)) < 1e-14
+        assert cols.shape == vals.shape == (n_bands, free.shape[0])
+        # short rows (an empty current row, a mode's edge levels) are
+        # padded, and a padded entry points at its own row
+        rows = np.broadcast_to(np.arange(free.shape[0]), cols.shape)
+        assert (vals == 0).any()
+        assert np.array_equal(cols[vals == 0], rows[vals == 0])
 
 
-def test_rotating_wave_two_modes_take_four_bands(pauli):
+def test_rotating_wave_two_modes_take_two_bands(pauli, jc_spec):
+    # a row of K_n holds its a^dag entry (atom down) or its a entry
+    # (atom up), never both
     spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[
         sc.FieldMode(1.0, 0.3 * pauli["minus"]),
         sc.FieldMode(1.2, 0.3 * pauli["minus"])])
     diag, cols, vals, _, _ = _hamiltonian(spec, (17, 17))
-    assert cols.shape == (4, 2 * 17 * 17)
+    assert cols.shape == (2, 2 * 17 * 17)
+    diag, cols, vals, _, _ = _hamiltonian(jc_spec, (33,))
+    assert cols.shape == (1, 2 * 33)
+
+
+def test_zero_currents_take_no_band_and_leave_the_state(pauli):
+    spec = sc.ModelSpec(h0=pauli["z"] / 2, modes=[
+        sc.FieldMode(1.0, np.zeros((2, 2))),
+        sc.FieldMode(-0.7, np.zeros((2, 2)))])
+    diag, cols, vals, _, _ = _hamiltonian(spec, (6, 5))
+    assert cols.shape == vals.shape == (0, 2 * 6 * 5)
+    rng = np.random.default_rng(44)
+    amps = rng.standard_normal((2, 6, 5)) + 1j * rng.standard_normal((2, 6, 5))
+    state = sc.FockCompositeState(amps / np.linalg.norm(amps), time=0.4)
+    out = sc.evolve(state, spec, 1.3, tail_threshold=1.0)
+    assert out.time == pytest.approx(1.7)
+    assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-14
 
 
 def test_rhs_matches_the_dense_interaction_picture_hamiltonian(pauli):
