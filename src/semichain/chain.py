@@ -34,7 +34,6 @@ import numpy as np
 from .errors import (DegenerateIncrement, DimensionMismatch,
                      InterpolationDegraded, SamplerStuck,
                      ZeroNormConditionalState)
-from .hilbert import as_operator
 from .model import ModelSpec, rotated_currents
 from .observables import Observable, atomic_observable, mode_monomial
 from .sampling import (SamplerParams, _complex_normals, _log_weights,
@@ -50,7 +49,10 @@ _ZERO_NORM_FLOOR = 1e-14
 class ChainState:
     """Immutable chain snapshot.
 
-    ``alphas`` has shape (N, M), ``phis`` shape (N, d). A chain that the
+    ``alphas`` has shape (N, M), ``phis`` shape (N, d). Both are
+    read-only transposed views of one C-contiguous (M + d, N) array,
+    the layout the update works in: positions in the first M rows, the
+    conditional states below, one component per row. A chain that the
     Metropolis sampler walked is a concatenation of contiguous segments
     with small increments within each (``segment_starts`` holds the
     first index of each); ``chain_derivative`` and ``chain_quality``
@@ -62,32 +64,34 @@ class ChainState:
     prediction needs.
 
     A chain returned by ``step`` also carries the update workspace that
-    its next ``step`` reuses; it is not part of the snapshot, so it
-    takes no part in ``==``, ``repr`` or checkpoints, and a chain built
-    any other way starts without one.
+    its next ``step`` reuses. Neither it nor the (M + d, N) array is a
+    field of the snapshot: they take no part in ``==``, ``repr`` or
+    checkpoints, and a chain built any other way starts without a
+    workspace.
     """
 
     time: float
     alphas: np.ndarray
     phis: np.ndarray
     segment_starts: np.ndarray = None
+    _rows: np.ndarray = field(default=None, init=False, repr=False)
     _workspace: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        alphas = np.array(self.alphas, dtype=complex, order="C", copy=True)
-        phis = np.array(self.phis, dtype=complex, order="C", copy=True)
+        alphas = np.asarray(self.alphas, dtype=complex)
+        phis = np.asarray(self.phis, dtype=complex)
         if alphas.ndim != 2 or phis.ndim != 2:
             raise DimensionMismatch("alphas and phis must be 2-D arrays")
-        n = alphas.shape[0]
+        n, m = alphas.shape
         if n < 2:
             raise DimensionMismatch("a chain needs at least 2 points")
         if phis.shape[0] != n:
             raise DimensionMismatch("alphas and phis must have one row per point")
-        flat = phis.view(float)
-        if not (np.isfinite(alphas.view(float)).all()
-                and np.isfinite(flat).all()):
+        rows = np.empty((m + phis.shape[1], n), dtype=complex)
+        rows[:m], rows[m:] = alphas.T, phis.T
+        if not np.isfinite(rows.view(float)).all():
             raise DimensionMismatch("chain entries must be finite")
-        if (np.einsum("ki,ki->k", flat, flat) == 0.0).any():
+        if not _norms2(rows[m:]).all():
             raise ZeroNormConditionalState("chain contains a zero conditional state")
         starts = self.segment_starts
         starts = np.array([0] if starts is None else starts)
@@ -96,11 +100,11 @@ class ChainState:
                 or starts[-1] > n - 2):
             raise DimensionMismatch("segment starts must be 1-D integers from "
                                     "0, with >= 2 points per segment")
-        alphas.setflags(write=False)
-        phis.setflags(write=False)
+        rows.setflags(write=False)
         starts.setflags(write=False)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "phis", phis)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "alphas", rows[:m].T)
+        object.__setattr__(self, "phis", rows[m:].T)
         object.__setattr__(self, "segment_starts", starts)
 
     def __eq__(self, other):
@@ -123,16 +127,15 @@ class ChainState:
         return self.phis.shape[1]
 
 
-def _is_identity(f: np.ndarray) -> bool:
-    return bool(np.array_equal(f, np.eye(f.shape[0])))
-
-
-def _norms2(phis: np.ndarray) -> np.ndarray:
-    return np.einsum("ki,ki->k", phis.conj(), phis).real
-
-
-def _cond_exp_batch(phis: np.ndarray, f: np.ndarray, norms2: np.ndarray) -> np.ndarray:
-    return np.einsum("ki,ki->k", phis.conj(), phis @ f.T) / norms2
+def _norms2(states, out=None, scratch=None):
+    """Squared norms (N,) of the component-major (d, N) ``states``, whose
+    rows must be contiguous: the squares of their real and imaginary
+    parts, which go into ``scratch`` if it is given, summed."""
+    if scratch is None:
+        scratch = np.empty_like(states)
+    np.square(states.view(float), out=scratch.view(float))
+    return np.sum(np.add(scratch.real, scratch.imag, out=scratch.real),
+                  axis=0, out=out)
 
 
 def _repeats(alphas, phis, i):
@@ -228,30 +231,22 @@ class _Workspace:
     - "rates_phis": the squared states, then j phi, then a product of
       ``_rates``.
 
-    ``step``'s "state", RK4 "stage" and "rk4_slope" are (1 + d, N):
-    positions in row 0, states below, as are the rates.
+    ``step``'s RK4 "stage" and "rk4_slope" are (1 + d, N), like the
+    rates and the chain's own snapshot: positions in row 0, states below.
     """
 
     def __init__(self, n, d):
         self.key = (n, d)
-        self._flat = {}
-        self._views = {}
+        self._buffers = {}
 
-    def array(self, name, shape, dtype=complex):
-        """A C-contiguous array of ``shape`` (a tuple) at the start of the
-        flat buffer ``name``, which grows to fit; arrays of one name share
-        memory. The view is made once per (name, shape, dtype)."""
-        key = (name, shape, dtype)
-        view = self._views.get(key)
-        if view is None:
-            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-            flat = self._flat.get(name)
-            if flat is None or flat.size < nbytes:
-                flat = self._flat[name] = np.empty(nbytes, np.uint8)
-                self._views = {k: v for k, v in self._views.items()
-                               if k[0] != name}
-            view = self._views[key] = flat[:nbytes].view(dtype).reshape(shape)
-        return view
+    def rows(self, name, count, dtype=complex):
+        """The first ``count`` rows, of length n, of the buffer ``name``,
+        which grows to fit; the rows of one name share memory, and one
+        name always has one ``dtype``."""
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < count:
+            buf = self._buffers[name] = np.empty((count, self.key[0]), dtype)
+        return buf[:count]
 
 
 def _workspace_for(workspace, n, d):
@@ -343,26 +338,25 @@ class BargmannInterpolant:
         self._alphas, self._phis = alphas, phis
         self._ws = _workspace_for(workspace, n, d)
         # rows: the basis w^m / sqrt(m!), then y
-        block = self._ws.array("scratch", (_FIT_TERMS + d, n))
+        block = self._ws.rows("scratch", _FIT_TERMS + d)
         self._basis = block[:_FIT_TERMS]
-        self._carrier = self._ws.array("carrier", (n,))
-        inverse = self._ws.array("deriv", (n,))
+        self._carrier = self._ws.rows("carrier", 1)[0]
+        inverse = self._ws.rows("deriv", 1)[0]
         self._center = _fill_basis(alphas, self._basis, self._carrier,
-                                   self._ws.array("exp_parts", (2, n), float),
+                                   self._ws.rows("exp_parts", 2, float),
                                    inverse)
         np.multiply(phis.T, inverse, out=block[_FIT_TERMS:])
         self.coef = _fit_coefficients(
-            block, _FIT_TERMS, self._ws.array("deriv", (_FIT_TERMS, n)))
+            block, _FIT_TERMS, self._ws.rows("deriv", _FIT_TERMS))
 
     def derivative(self):
         """dPhi/dz at the chain's own points, shape (d, N), as a view of
         the workspace's "deriv" buffer. It reads the basis in "scratch",
         so it must come before anything else writes there."""
-        n, d = self._phis.shape
         dcoef = self._center.conjugate() * self.coef
         dcoef[:-1] += np.sqrt(np.arange(1, len(dcoef)))[:, None] * self.coef[1:]
         return _evaluate(dcoef, self._basis, self._carrier,
-                         self._ws.array("deriv", (d, n)))
+                         self._ws.rows("deriv", self._phis.shape[1]))
 
     def values(self, alphas):
         """Phi at every row of ``alphas`` (shape (N, 1)); shape (N, d)."""
@@ -435,8 +429,9 @@ def _fit_coefficients(block, k, conj):
 def _rates(y, spec, t, workspace=None):
     """Time derivative of the state ``y`` from a frozen snapshot.
 
-    Component-major: ``y`` is (1 + d, N), the positions in row 0 and the
-    conditional states below, and its rate comes back in the same
+    Component-major: ``y`` is (1 + d, N) with contiguous rows, the
+    positions in row 0 and the conditional states below (a snapshot's
+    own array, or an RK4 stage), and its rate comes back in the same
     layout, as a view of the "scratch" buffer of ``workspace`` (a new
     one if it is None or was made for other sizes).
     """
@@ -444,16 +439,14 @@ def _rates(y, spec, t, workspace=None):
     d = y.shape[0] - 1
     alphas, phis = y[:1], y[1:]
     ws = _workspace_for(workspace, n, d)
-    norms2 = ws.array("rates_norms2", (n,), float)
     # the squares of the states go where j phi goes next
-    jphi = ws.array("rates_phis", (d, n))
-    np.square(phis.view(float), out=jphi.view(float))
-    np.sum(np.add(jphi.real, jphi.imag, out=jphi.real), axis=0, out=norms2)
+    jphi = ws.rows("rates_phis", d)
+    norms2 = _norms2(phis, ws.rows("rates_norms2", 1, float)[0], jphi)
     if not norms2.all():
         raise ZeroNormConditionalState("conditional state collapsed to zero norm")
     (j,) = rotated_currents(spec, t)
     deriv = _derivatives(alphas.T, phis.T, workspace=ws)
-    rates = ws.array("scratch", (1 + d, n))  # the fit is done with it
+    rates = ws.rows("scratch", 1 + d)  # the fit is done with it
     v, tmp = rates[0], rates[1:]
     np.matmul(j, phis, out=jphi)
     np.sum(np.multiply(np.conjugate(phis, out=tmp), jphi, out=tmp), axis=0,
@@ -461,7 +454,7 @@ def _rates(y, spec, t, workspace=None):
     v /= norms2
     # -i (j^dag deriv - conj(v) deriv + conj(alpha) j phi), with the -i
     # taken into each factor; the products go in place of deriv and j phi
-    factor = ws.array("carrier", (n,))  # the fit is done with it too
+    factor = ws.rows("carrier", 1)[0]  # the fit is done with it too
     term = np.matmul(-1j * j.conj().T, deriv, out=tmp)
     np.multiply(1j, np.conjugate(v, out=factor), out=factor)
     term += np.multiply(factor, deriv, out=deriv)
@@ -481,26 +474,23 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
     one forward Euler step; ``integrator='rk4'`` takes one classical
     fourth-order Runge-Kutta step, whose four rate evaluations run at
     times t, t + eps/2, t + eps/2 and t + eps, and is what the runner
-    uses. The cycle runs on one (1 + d, N) copy of the chain, in the
-    buffers of the chain's update workspace (``_Workspace``), which the
-    returned chain carries on to its own step.
+    uses. The cycle reads the chain's own (1 + d, N) array and works in
+    the buffers of the chain's update workspace (``_Workspace``), which
+    the returned chain carries on to its own step.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     if spec.d != chain.d or spec.n_modes != chain.n_modes:
         raise DimensionMismatch("chain and model disagree on dimensions")
     if chain.n_modes != 1:
         raise DimensionMismatch(
             f"the chain update is single-mode; got {chain.n_modes} modes")
-    n, d = chain.n_points, chain.d
-    ws = _workspace_for(chain._workspace, n, d)
-    y = ws.array("state", (1 + d, n))
-    np.copyto(y[:1], chain.alphas.T)
-    np.copyto(y[1:], chain.phis.T)
+    ws = _workspace_for(chain._workspace, chain.n_points, chain.d)
+    y = chain._rows
     rates = _rates(y, spec, chain.time, workspace=ws)
     if integrator == "rk4":
-        stage = ws.array("stage", (1 + d, n))
-        slope = ws.array("rk4_slope", (1 + d, n))
+        stage = ws.rows("stage", len(y))
+        slope = ws.rows("rk4_slope", len(y))
         slope.fill(0.0)
         half = 0.5 * eps
         for reach, weight in ((half, 1 / 6), (half, 1 / 3), (eps, 1 / 3)):
@@ -514,7 +504,7 @@ def step(chain: ChainState, spec: ModelSpec, eps: float,
         rates = slope
     elif integrator != "euler":
         raise ValueError(f"unknown integrator {integrator!r}")
-    # the updated state overwrites the rates; ChainState copies it out
+    # the updated state overwrites the rates; ChainState copies its rows
     np.add(y, np.multiply(eps, rates, out=rates), out=rates)
     out = ChainState(
         time=chain.time + eps,
@@ -538,11 +528,13 @@ def estimate(chain: ChainState, obs: Observable,
     """
     if obs.n_modes != chain.n_modes:
         raise DimensionMismatch("observable and chain disagree on mode count")
-    if obs.f is None or _is_identity(obs.f):
+    f = obs.atomic_matrix(chain.d)
+    if np.array_equal(f, np.eye(chain.d)):  # exactly 1, not 1 +- rounding
         cond = np.ones(chain.n_points, dtype=complex)
     else:
-        f = as_operator(obs.f, dim=chain.d)
-        cond = _cond_exp_batch(chain.phis, f, _norms2(chain.phis))
+        phis = chain.phis
+        cond = (np.einsum("ki,ki->k", phis.conj(), phis @ f.T)
+                / _norms2(chain._rows[chain.n_modes:]))
     vals = obs.poly_values(chain.alphas) * cond
     value = complex(vals.mean())
     b = max(2, min(batch_count, chain.n_points))
@@ -579,11 +571,11 @@ def chain_quality(chain: ChainState) -> ChainQuality:
     ib = ia + 1
     inc = np.abs(alphas[ib] - alphas[ia])  # (pairs, M)
     d_phi_norm = np.linalg.norm(phis[ib] - phis[ia], axis=1)
-    tol = 1e-12 * (1.0 + np.sqrt(_norms2(phis[ia])))
+    norms2 = _norms2(chain._rows[chain.n_modes:])
+    tol = 1e-12 * (1.0 + np.sqrt(norms2[ia]))
     dup = (np.max(inc, axis=1) < _DELTA_MIN) & (d_phi_norm <= tol)
     degen = np.any(inc < _DELTA_MIN, axis=1) & (d_phi_norm > tol)
     live = ~dup
-    norms2 = _norms2(phis)
     zero_norm = int(np.sum(norms2 < _ZERO_NORM_FLOOR * norms2.mean()))
     min_inc = inc[live].min(axis=0) if np.any(live) else np.zeros(chain.n_modes)
     return ChainQuality(
@@ -674,7 +666,7 @@ def initial_chain(phi0, n_modes: int, n_points: int,
             if step_cap is None:
                 raise ValueError("the Metropolis sampler needs a step_cap")
             params = SamplerParams(step_cap=step_cap)
-        logw = log_weight_from_phi(phi0, n_modes)
+        logw = log_weight_from_phi(phi0)
         alphas, seg_starts = sample_positions(logw, n_modes, n_points, params,
                                               rng)
     phis = _phi_values(phi0, alphas)

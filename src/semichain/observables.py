@@ -62,7 +62,10 @@ class Observable:
         return len(self.poly[0].p)
 
     def atomic_matrix(self, d: int) -> np.ndarray:
-        return np.eye(d, dtype=complex) if self.f is None else self.f
+        """F on a d-level atom; DimensionMismatch if F has another size."""
+        if self.f is None:
+            return np.eye(d, dtype=complex)
+        return as_operator(self.f, dim=d)
 
     def poly_values(self, alphas: np.ndarray) -> np.ndarray:
         """Evaluate the field symbol at points ``alphas`` of shape (N, M)."""

@@ -82,7 +82,7 @@ def tail_mass(state: FockCompositeState) -> float:
 
 def check_tail(state: FockCompositeState, threshold: float = DEFAULT_TAIL_THRESHOLD):
     tm = tail_mass(state)
-    if tm > threshold:
+    if not tm <= threshold:  # a NaN tail mass fails too
         raise TailMassExceeded(
             f"tail mass {tm:.3e} exceeds threshold {threshold:.3e} "
             f"(cutoffs {state.cutoffs} too small)")
@@ -304,13 +304,15 @@ def evolve(state: FockCompositeState, spec: ModelSpec, dt: float,
     """
     if spec.d != state.d or spec.n_modes != state.n_modes:
         raise DimensionMismatch("state and model disagree on dimensions")
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     if dt == 0.0:
         return state
     psi = _free_rotation(spec, state.amplitudes, -state.time)
     psi = _propagate(spec, psi, dt)
     y = _free_rotation(spec, psi, state.time + dt)
     nrm = np.linalg.norm(y)
-    if abs(nrm - 1.0) > _NORM_TOL:
+    if not abs(nrm - 1.0) <= _NORM_TOL:
         raise TailMassExceeded(
             f"norm drifted to {nrm:.12f}; propagator round-off or a "
             f"non-normalized input state")

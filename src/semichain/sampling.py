@@ -108,7 +108,7 @@ def _phi_values(phi, alphas):
     return np.array([phi(np.conj(a)) for a in alphas], dtype=complex)
 
 
-def log_weight_from_phi(phi, n_modes):
+def log_weight_from_phi(phi):
     """Log of e^{-|alpha|^2} ||phi(alpha*)||^2 as a batched weight: it
     maps an (n, n_modes) array to n log weights, -inf where phi vanishes
     or is not finite. It evaluates phi by ``_phi_values``."""

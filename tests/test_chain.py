@@ -118,9 +118,39 @@ def test_chain_state_accepts_any_memory_layout():
     pt = rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))
     for phis in (np.asfortranarray(pt.T), pt.T):
         ch = ChainState(time=0.0, alphas=np.asfortranarray(alphas), phis=phis)
-        assert ch.phis.flags.c_contiguous and ch.alphas.flags.c_contiguous
+        # alphas and phis are read-only views of one array
+        assert ch.alphas.base is ch.phis.base is not None
+        assert not (ch.alphas.flags.writeable or ch.phis.flags.writeable)
         assert np.array_equal(ch.phis, pt.T)
         assert np.array_equal(ch.alphas, alphas)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 17])
+def test_norms2_matches_the_conjugate_product_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    p = rng.standard_normal((500, d)) + 1j * rng.standard_normal((500, d))
+    p *= np.exp(rng.uniform(-30.0, 30.0, (500, 1)))
+    expected = np.einsum("ki,ki->k", p.conj(), p).real
+    assert np.array_equal(chain_module._norms2(np.ascontiguousarray(p.T)),
+                          expected)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf])
+def test_step_rejects_a_non_finite_eps_before_stepping(jc_spec, eps):
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        sc.step(_walk_chain(lambda a: np.array([1.0, 0.0]), n=10), jc_spec, eps)
+
+
+@pytest.mark.parametrize("f", [np.eye(3), np.diag([1.0, -1.0, 0.0])],
+                         ids=["identity", "other"])
+def test_both_engines_reject_an_atomic_operator_of_another_size(jc_spec, f):
+    obs = Observable(f=f, poly=mode_monomial(1, 0, 0, 0))
+    ch = _walk_chain(lambda a: np.array([1.0, 0.0]), n=10)
+    with pytest.raises(DimensionMismatch):
+        sc.estimate(ch, obs)
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [0.5], [8])
+    with pytest.raises(DimensionMismatch):
+        sc.antinormal_expectation(st, obs)
 
 
 # ------------------------------------------------------------- derivatives

@@ -47,6 +47,24 @@ def test_build_initial_cutoff_too_small(jc_spec):
         sc.build_initial(jc_spec, [1.0, 0.0], [3.0], [4])
 
 
+def test_non_finite_inputs_fail_loudly(jc_spec):
+    for a0 in (np.nan, np.inf):
+        with pytest.raises(TailMassExceeded), np.errstate(invalid="ignore"):
+            sc.build_initial(jc_spec, [1.0, 0.0], [a0], [8])
+    st = sc.build_initial(jc_spec, [1.0, 0.0], [0.5], [16])
+    nan = sc.FockCompositeState(amplitudes=np.full_like(st.amplitudes, np.nan))
+    with pytest.raises(TailMassExceeded):
+        sc.evolve(nan, jc_spec, 0.1)
+    unit = Observable(f=None, poly=mode_monomial(1, 0, 0, 0))
+    with pytest.raises(TailMassExceeded):
+        sc.antinormal_expectation(nan, unit)
+    for dt in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            sc.evolve(st, jc_spec, dt)
+    back = sc.evolve(sc.evolve(st, jc_spec, 0.3), jc_spec, -0.3)
+    assert np.allclose(back.amplitudes, st.amplitudes, atol=1e-12)
+
+
 def test_evolve_free_field_is_constant(pauli):
     spec = sc.ModelSpec(h0=pauli["z"] / 2,
                         modes=[sc.FieldMode(1.0, 0.0 * pauli["minus"])])

@@ -31,7 +31,7 @@ def test_coherent_moments_match_quadrature():
     # expected moments come from direct 2-D integration of the weight
     a0 = 1.0
     phi0 = sc.coherent_bargmann([a0], [1.0])
-    logw = log_weight_from_phi(phi0, 1)
+    logw = log_weight_from_phi(phi0)
     grid, wgt = disk_grid(radius=6.0, n=96)
     dens = np.exp(logw(grid[:, None]))
     norm = quad_phase_plane(dens, wgt)
@@ -243,7 +243,7 @@ def test_generic_callable_keeps_the_metropolis_chain(seed):
     params = SamplerParams(step_cap=0.45, segment_len=6, burn_in=3000)
     chain = sc.initial_chain(generic, 1, 1500, 0.45,
                              np.random.default_rng(seed), params=params)
-    alphas, starts = sample_positions(log_weight_from_phi(generic, 1), 1, 1500,
+    alphas, starts = sample_positions(log_weight_from_phi(generic), 1, 1500,
                                       params, np.random.default_rng(seed))
     assert chain.alphas.tobytes() == alphas.tobytes()
     assert np.array_equal(chain.segment_starts, starts)
