@@ -11,6 +11,8 @@ prints, for the stepping alone:
 - first step: its wall time and its minor (first-touch) page faults
   (``getrusage``). The first step allocates the update workspace that
   the later steps reuse, so it is reported on its own line;
+- workspace MiB: the total size of that workspace's buffers after the
+  first step;
 - ms/step: wall time per later ``step`` call, as the mean and as the
   median and 20th percentile of the calls timed one by one. On a shared
   machine the mean of one process moves with bursts of load from other
@@ -62,6 +64,7 @@ def main(argv=None):
     chain = sc.step(chain, spec, args.eps, integrator=args.integrator)
     first_ms = 1e3 * (time.perf_counter() - start)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    workspace_mib = chain._workspace.nbytes / 2 ** 20
     ticks = [time.perf_counter()]
     for _ in range(args.steps - 1):
         chain = sc.step(chain, spec, args.eps, integrator=args.integrator)
@@ -76,6 +79,7 @@ def main(argv=None):
           f"{np.median(later):.3f} p20 {np.percentile(later, 20):.3f}")
     print(f"minor faults/step "
           f"{(usage.ru_minflt - faults[1]) / (args.steps - 1):.1f}")
+    print(f"workspace MiB {workspace_mib:.2f}")
     # ru_maxrss is in KiB on Linux
     print(f"peak RSS MiB {usage.ru_maxrss / 1024:.1f}")
 

@@ -141,6 +141,22 @@ def test_step_rejects_a_non_finite_eps_before_stepping(jc_spec, eps):
         sc.step(_walk_chain(lambda a: np.array([1.0, 0.0]), n=10), jc_spec, eps)
 
 
+def test_step_rejects_an_unknown_integrator_before_stepping(jc_spec,
+                                                          monkeypatch):
+    calls = []
+    rates = chain_module._rates
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return rates(*args, **kwargs)
+
+    monkeypatch.setattr(chain_module, "_rates", counted)
+    with pytest.raises(ValueError, match="unknown integrator 'rk5'"):
+        sc.step(_walk_chain(lambda a: np.array([1.0, 0.0]), n=10), jc_spec,
+                1e-3, integrator="rk5")
+    assert calls == []
+
+
 @pytest.mark.parametrize("f", [np.eye(3), np.diag([1.0, -1.0, 0.0])],
                          ids=["identity", "other"])
 def test_both_engines_reject_an_atomic_operator_of_another_size(jc_spec, f):
@@ -423,6 +439,27 @@ def test_step_workspace_changes_nothing(jc_spec, integrator):
                           integrator=integrator)
         assert _bits(carried) == _bits(rebuilt)
     assert carried._workspace is not None
+
+
+def test_step_holds_no_full_basis_and_no_slope(jc_spec):
+    # d = 2 and 3B + 7 points: the fit keeps only full-length rows of w,
+    # its carriers and the update's own rows, and RK4 adds its slope up
+    # in the snapshot it returns
+    n = 3 * chain_module._BLOCK + 7
+    phi0 = sc.coherent_bargmann([1.0], [1.0, 0.0])
+    start = sc.initial_chain(phi0, 1, n, rng=np.random.default_rng(2))
+    ch = sc.step(start, jc_spec, 0.125, integrator="rk4")
+    buffers = ch._workspace._buffers
+    # the RK4 stage is the one buffer shaped like the snapshot
+    assert [name for name, buf in buffers.items()
+            if buf.shape == ch._rows.shape] == ["stage"]
+    for name, buf in buffers.items():
+        assert buf.size < _FIT_TERMS * n, name
+        assert not np.shares_memory(ch._rows, buf), name
+    assert not ch._rows.flags.writeable
+    assert not (ch.alphas.flags.writeable or ch.phis.flags.writeable)
+    twin = sc.step(start, jc_spec, 0.125, integrator="rk4")
+    assert twin == ch and twin._rows is not ch._rows
 
 
 def test_workspace_is_invisible(jc_spec, tmp_path):
@@ -751,9 +788,10 @@ def _in_class(alphas, seed=1):
     return carrier * q, carrier * (beta * q + dq)
 
 
-def _lstsq_fit_derivative(alphas, phis):
-    """Reference: the fit of ``_derivatives`` solved by
-    np.linalg.lstsq, shape (d, N)."""
+def _lstsq_fit(alphas, phis):
+    """Reference: the coefficients, shape (K, d), of the fit of
+    ``_derivatives`` solved by np.linalg.lstsq, and its derivative at
+    the points, shape (d, N)."""
     z = alphas[:, 0].conj()
     center = z.mean()
     w = z - center
@@ -764,7 +802,67 @@ def _lstsq_fit_derivative(alphas, phis):
     coef = np.linalg.lstsq(basis, phis / carrier, rcond=None)[0]
     dcoef = beta * coef
     dcoef[:-1] += np.sqrt(np.arange(1, _FIT_TERMS))[:, None] * coef[1:]
-    return (carrier * (basis @ dcoef)).T
+    return coef, (carrier * (basis @ dcoef)).T
+
+
+def _lstsq_fit_derivative(alphas, phis):
+    """Reference: the derivative of ``_lstsq_fit``, shape (d, N)."""
+    return _lstsq_fit(alphas, phis)[1]
+
+
+def _single_product_fit(alphas, phis):
+    """Reference: the fit of ``_derivatives`` from one product of all
+    N points' rows, the powers of w and phi e^{-beta w}, with their
+    conjugated powers, solved by Cholesky; its coefficients (K, d) and
+    derivative (d, N). The rows are made by the module's own
+    elementwise helpers."""
+    k, (n, d) = _FIT_TERMS, phis.shape
+    w = alphas[:, 0].conj()
+    center = w.mean()
+    w -= center
+    beta = center.conjugate()
+    carrier, inverse = np.empty(n, complex), np.empty(n, complex)
+    chain_module._exponentials(beta, w, carrier, np.empty((2, n)), inverse)
+    rows = np.empty((k + d, n), complex)
+    chain_module._powers(w, rows[:k])
+    rows[k:] = phis.T * inverse
+    normal = (rows @ rows[:k].conj().T).T
+    norm = 1 / np.sqrt([math.factorial(m) for m in range(k)])
+    normal *= norm[:, None]
+    gram, rhs = normal[:, :k], normal[:, k:]
+    gram *= norm
+    coef = np.linalg.solve(gram, rhs)
+    dcoef = beta * coef
+    dcoef[:-1] += np.sqrt(np.arange(1, k))[:, None] * coef[1:]
+    deriv = (dcoef.T * norm) @ rows[:k]
+    deriv *= carrier
+    return coef, deriv
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("extra", [-1, 0, 1, "3B + 7"])
+def test_fit_matches_its_references_at_block_edges(d, extra):
+    # a chain of at most B points is one block and does the arithmetic
+    # of one product over all its rows; longer chains add up the blocks'
+    # products, and pass 2 starts on the last block
+    b = chain_module._BLOCK
+    n = 3 * b + 7 if extra == "3B + 7" else b + extra
+    alphas = _cloud(n, 1.0 - 0.5j, seed=d)
+    rng = np.random.default_rng(d)
+    phis = _in_class(alphas)[0][:, :1].repeat(d, axis=1)
+    phis *= 1.0 + 0.1 * (rng.standard_normal((n, d))
+                         + 1j * rng.standard_normal((n, d)))
+    fit = BargmannInterpolant(alphas, phis)
+    deriv = fit.derivative().copy()
+    for got, want in zip((fit.coef, deriv), _lstsq_fit(alphas, phis)):
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    # a second call finds other blocks' powers in the buffer, and
+    # rebuilds them all
+    assert np.array_equal(fit.derivative(), deriv)
+    if n <= b:
+        coef, ref = _single_product_fit(alphas, phis)
+        assert np.array_equal(fit.coef, coef)
+        assert np.array_equal(deriv, ref)
 
 
 def _rel_err(got, ref):
@@ -823,14 +921,21 @@ def test_one_fit_serves_the_update_and_reformat(jc_spec):
 
 
 @pytest.mark.parametrize("case", ["coincident pair", "fully duplicate",
-                                  "five points", "seven points"])
+                                  "five points", "seven points",
+                                  "five points in 2B + 3 rows"])
 def test_fit_falls_back_to_lstsq_on_degenerate_chains(case):
     # fewer distinct points than terms: the Cholesky solve gives way to
     # the minimum-norm least-squares fit of the same rows. With seven
     # points the factorization itself succeeds on a rounding-level last
-    # pivot, and only the pivot test catches it
+    # pivot, and only the pivot test catches it. Five positions repeated
+    # over several blocks make the fallback build the full rows
     v = np.array([1.0, 0.3j])
-    if case == "coincident pair":
+    if case == "five points in 2B + 3 rows":
+        alphas = np.array([[0.5], [0.7 + 0.1j], [0.2 - 0.3j], [0.9],
+                           [1.1 - 0.1j]])[
+                               np.arange(2 * chain_module._BLOCK + 3) % 5]
+        phis = np.exp((0.8 + 0.1j) * alphas.conj()) * v
+    elif case == "coincident pair":
         alphas = np.array([[0.4 - 0.2j], [0.4 - 0.2j]])
         phis = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)
     elif case == "fully duplicate":

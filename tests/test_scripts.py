@@ -1,7 +1,7 @@
 """Each script under ``scripts/`` runs once, at a small size, in a fresh
 interpreter and exits 0: the scripts reach into private package names
-(``chain._rates``, ``chain._derivatives``, ``chain._FIT_TERMS``), which
-no other test holds them to."""
+(``chain._rates``, ``chain._derivatives``, ``chain._FIT_TERMS``,
+``ChainState._workspace``), which no other test holds them to."""
 
 import os
 import subprocess
